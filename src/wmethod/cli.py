@@ -192,13 +192,13 @@ def cmd_equiv(args, out) -> int:
         if a.kind != b.kind:
             raise Usage(f"machine kinds differ: {a.kind} vs {b.kind}")
         res = F.equiv(a, b)
-        cex = res.counterexample.render(a.alphabet) if res.counterexample else None
+        cex = res.counterexample.render(a.alphabet) if res.counterexample is not None else None
     elif fam == "wa":
         res = W.equiv_wa(a, b)
-        cex = res.counterexample.render(a.alphabet) if res.counterexample else None
+        cex = res.counterexample.render(a.alphabet) if res.counterexample is not None else None
     else:
         res = N.equiv_rna(a, b)
-        cex = res.counterexample.render() if res.counterexample else None
+        cex = res.counterexample.render() if res.counterexample is not None else None
     if res.equivalent:
         print("equivalent", file=out)
         return EXIT_OK

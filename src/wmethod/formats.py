@@ -61,6 +61,13 @@ def parse_machine(text: str, filename: str = "<string>") -> Fsm | Wa | Rna:
     raise ParseError(filename, no, f"unknown machine kind {kind!r}")
 
 
+def _args(toks: list[str], usage: str, filename: str, no: int) -> list[str]:
+    """The arguments of a directive whose form is `usage`, checked by count."""
+    if len(toks) != len(usage.split()):
+        raise ParseError(filename, no, f"{toks[0]}: `{usage}`")
+    return toks[1:]
+
+
 def _int(tok: str, filename: str, no: int, what: str) -> int:
     try:
         return int(tok)
@@ -94,9 +101,11 @@ def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
                 raise ParseError(filename, no, "alphabet symbols must be distinct")
             alphabet = Alphabet(tuple(toks[1:]))
         elif d == "states":
-            n_states = _int(toks[1], filename, no, "states")
+            (arg,) = _args(toks, "states count", filename, no)
+            n_states = _int(arg, filename, no, "states")
         elif d == "initial":
-            initial = _int(toks[1], filename, no, "initial")
+            (arg,) = _args(toks, "initial state", filename, no)
+            initial = _int(arg, filename, no, "initial")
         elif d == "accepting":
             if kind != "dfa":
                 raise ParseError(filename, no, "accepting is only valid for dfa")
@@ -192,15 +201,16 @@ def _parse_wa(items, filename: str, last: int) -> Wa:
                 raise ParseError(filename, no, "alphabet needs distinct symbols")
             alphabet = Alphabet(tuple(toks[1:]))
         elif d == "dim":
-            dim = _int(toks[1], filename, no, "dim")
+            (arg,) = _args(toks, "dim count", filename, no)
+            dim = _int(arg, filename, no, "dim")
             if dim <= 0:
                 raise ParseError(filename, no, "dim must be positive")
         elif d == "init":
-            q = _int(toks[1], filename, no, "init state")
-            init[q] = _rational(toks[2], filename, no)
+            state, weight = _args(toks, "init state weight", filename, no)
+            init[_int(state, filename, no, "init state")] = _rational(weight, filename, no)
         elif d == "final":
-            q = _int(toks[1], filename, no, "final state")
-            final[q] = _rational(toks[2], filename, no)
+            state, weight = _args(toks, "final state weight", filename, no)
+            final[_int(state, filename, no, "final state")] = _rational(weight, filename, no)
         elif d == "trans":
             if len(toks) != 5 or alphabet is None:
                 raise ParseError(filename, no, "trans: `trans src sym dst weight` after alphabet")
@@ -252,7 +262,8 @@ def _parse_rna(items, filename: str, last: int) -> Rna:
             locs.append((toks[1], arity))
             loc_line[toks[1]] = no
         elif d == "initial":
-            initial = (no, toks[1])
+            (name,) = _args(toks, "initial location", filename, no)
+            initial = (no, name)
         elif d == "accepting":
             accepting.update(toks[1:])
         elif d == "trans":

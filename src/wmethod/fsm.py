@@ -21,6 +21,7 @@ from .words import (
     Suite,
     Verdict,
     Word,
+    execute,
     words_upto,
 )
 
@@ -311,14 +312,20 @@ def weak_cover_map(m: Fsm, p: Suite) -> dict[tuple[Word, int], Word]:
     return table
 
 
+def _suite_values(m: Fsm, t: Suite) -> list:
+    delta = m.delta
+    return [m.signature(q) for q in execute(t.plan, m.initial, lambda q, a: delta[q][a])]
+
+
 def agree_on(spec: Fsm, impl: Fsm, t: Suite) -> list[Verdict]:
     """One verdict per suite word, in suite order."""
     _check_compatible(spec, impl)
-    out = []
-    for w in t:
-        s, i = lang_value(spec, w), lang_value(impl, w)
-        out.append(Verdict(w, s, i, s == i))
-    return out
+    if t.alphabet != spec.alphabet:
+        raise ValueError("suite alphabet differs from the machines' alphabet")
+    return [
+        Verdict(w, s, i, s == i)
+        for w, s, i in zip(t, _suite_values(spec, t), _suite_values(impl, t))
+    ]
 
 
 def equiv(a: Fsm, b: Fsm) -> EquivResult:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterator, Mapping, Sequence
 
-from .words import NotMinimalError, Verdict
+from .words import NotMinimalError, Plan, Verdict, execute, prefix_plan
 
 Atom = int
 
@@ -92,11 +93,20 @@ class OrbitSuite:
     def __iter__(self) -> Iterator[SymbolicWord]:
         return iter(self.patterns)
 
+    @cached_property
+    def _member_set(self) -> frozenset[SymbolicWord]:
+        return frozenset(self.patterns)
+
     def __contains__(self, s: SymbolicWord) -> bool:
-        return s in set(self.patterns)
+        return s in self._member_set
 
     def contains_epsilon(self) -> bool:
-        return EPS_PATTERN in set(self.patterns)
+        return EPS_PATTERN in self._member_set
+
+    @cached_property
+    def plan(self) -> Plan:
+        """The prefix-sharing execution plan of the canonical instances."""
+        return prefix_plan([s.pattern for s in self.patterns])
 
 
 @dataclass(frozen=True)
@@ -383,12 +393,16 @@ def w_suite_rna(p: OrbitSuite, k: int, w: OrbitSuite) -> OrbitSuite:
 def agree_on_rna(spec: Rna, impl: Rna, t: OrbitSuite) -> list[Verdict]:
     """One verdict per orbit pattern; by equivariance each verdict covers
     every concrete instance of its orbit."""
-    out = []
-    for s in t:
-        _, acc_s = symbolic_run(spec, s)
-        _, acc_i = symbolic_run(impl, s)
-        out.append(Verdict(s, acc_s, acc_i, acc_s == acc_i))
-    return out
+    return [
+        Verdict(s, acc_s, acc_i, acc_s == acc_i)
+        for s, acc_s, acc_i in zip(t, _suite_acceptance(spec, t), _suite_acceptance(impl, t))
+    ]
+
+
+def _suite_acceptance(a: Rna, t: OrbitSuite) -> list[bool]:
+    """Acceptance of the canonical instance of every pattern (see `symbolic_run`)."""
+    states = execute(t.plan, (a.initial, ()), lambda st, x: _step(a, st[0], st[1], x))
+    return [loc in a.accepting for loc, _ in states]
 
 
 def _pair_bfs(

@@ -5,9 +5,12 @@ transition matrix per symbol (column = source state, row = target), and
 an output weight vector f. The value of a word w is f^T M(w) s0 where
 M(eps) is the identity and M(wa) = M(a) M(w).
 
-Everything here is exact: weights are `fractions.Fraction`, rank
-computations use Gaussian elimination with exact pivots, and equivalence
-is decided by saturating the reachable subspace of a difference machine.
+Everything here is exact. Weights are `fractions.Fraction`; the kernels
+run on an integer form of each machine (every part scaled by the least
+common multiple of its denominators) and build `Fraction`s only for the
+values and vectors they return. Ranks come from fraction-free Gaussian
+elimination, and equivalence is decided by saturating the reachable
+subspace of a difference machine.
 """
 
 from __future__ import annotations
@@ -15,13 +18,27 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from .words import EPSILON, Alphabet, Suite, Verdict, Word, concat_suites, words_upto
+from .words import (
+    EPSILON,
+    Alphabet,
+    Suite,
+    Verdict,
+    Word,
+    concat_suites,
+    execute,
+    words_upto,
+)
 from .fsm import EquivResult
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+IVec = tuple[int, ...]
+IState = tuple[IVec, int]  # integer vector v and denominator d, standing for v / d
 
 ZERO = Fraction(0)
 
@@ -47,34 +64,45 @@ def _dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
+def _idot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _scaled(entries: Iterable[Fraction]) -> tuple[IVec, int]:
+    """Integers n and the least d > 0 with n_i = x_i * d for every entry x_i."""
+    xs = tuple(entries)
+    d = lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (d // x.denominator) for x in xs), d
+
+
 class _Echelon:
-    """Incremental exact row echelon form for rank tracking."""
+    """Incremental row echelon form over the integers, for rank tracking.
+
+    Rank is invariant under scaling, so elimination is fraction-free: a
+    row is reduced by cross-multiplying with a pivot row, and every row
+    is kept primitive by dividing out the gcd of its entries.
+    """
 
     def __init__(self):
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[IVec] = []
         self.pivots: list[int] = []
 
-    def _reduce(self, v: Sequence[Fraction]) -> list[Fraction]:
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                c = v[p] / row[p]
-                for j in range(len(v)):
-                    v[j] -= c * row[j]
-        return v
-
-    def add(self, v: Sequence[Fraction]) -> bool:
+    def add(self, v: Sequence[int]) -> bool:
         """Insert v; True iff it was independent of the rows so far."""
-        r = self._reduce(v)
-        for p, x in enumerate(r):
-            if x != 0:
-                self.rows.append(r)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                r = row[p]
+                v = [r * x - c * y for x, y in zip(v, row)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+        for p, x in enumerate(v):
+            if x:
+                self.rows.append(tuple(v))
                 self.pivots.append(p)
                 return True
         return False
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self._reduce(v))
 
     @property
     def rank(self) -> int:
@@ -135,6 +163,59 @@ class Wa:
             if len(m) != self.dim or any(len(row) != self.dim for row in m):
                 raise ValueError("transition matrices must be dim x dim")
 
+    @cached_property
+    def _ints(self) -> "_IntForm":
+        rows, dm = [], []
+        for m in self.mats:
+            flat, d = _scaled(x for row in m for x in row)
+            rows.append(tuple(flat[i * self.dim : (i + 1) * self.dim] for i in range(self.dim)))
+            dm.append(d)
+        return _IntForm(*_scaled(self.s0), tuple(rows), tuple(dm), *_scaled(self.f))
+
+
+class _IntForm:
+    """A weighted automaton as integers: s0 * d0, M_a * d_a (by rows) and
+    f * d_f, each d the least common denominator of its part.
+
+    A forward state (v, d) stands for M(w) s0 = v / d; a backward state
+    (r, d) for f^T M(w) = r / d. (A plain class: a dataclass would add a
+    millisecond to every import of the package.)
+    """
+
+    def __init__(
+        self,
+        s0: IVec,
+        d0: int,
+        rows: tuple[tuple[IVec, ...], ...],
+        dm: tuple[int, ...],
+        f: IVec,
+        df: int,
+    ):
+        self.s0, self.d0, self.rows, self.dm, self.f, self.df = s0, d0, rows, dm, f, df
+
+    @cached_property
+    def cols(self) -> tuple[tuple[IVec, ...], ...]:
+        return tuple(tuple(zip(*m)) for m in self.rows)
+
+    def step(self, state: IState, a: int) -> IState:
+        """The state of w.a from the state of w."""
+        v, d = state
+        return tuple(_idot(row, v) for row in self.rows[a]), d * self.dm[a]
+
+    def step_back(self, state: IState, a: int) -> IState:
+        """The backward state of a.w from the backward state of w."""
+        r, d = state
+        return tuple(_idot(r, col) for col in self.cols[a]), d * self.dm[a]
+
+    def value(self, state: IState) -> Fraction:
+        v, d = state
+        return Fraction(_idot(self.f, v), self.df * d)
+
+
+def _fractions(state: IState) -> Vec:
+    v, d = state
+    return tuple(Fraction(x, d) for x in v)
+
 
 @dataclass(frozen=True)
 class VecSpaceBasis:
@@ -157,32 +238,33 @@ def wa_lang(a: Wa, w: Word) -> Fraction:
     for s in w.syms:
         if not 0 <= s < len(a.alphabet):
             raise ValueError(f"symbol index {s} outside the alphabet")
-    v = a.s0
+    z = a._ints
+    state = (z.s0, z.d0)
     for s in w.syms:
-        v = _mat_vec(a.mats[s], v)
-    return _dot(a.f, v)
+        state = z.step(state, s)
+    return z.value(state)
+
+
+def _basis(found: list[tuple[Word, IState]]) -> VecSpaceBasis:
+    return VecSpaceBasis(tuple(_fractions(st) for _, st in found), tuple(w for w, _ in found))
 
 
 def forward_basis(a: Wa) -> VecSpaceBasis:
     """Basis of span{M(w) s0} with length-lex minimal, prefix-closed witnesses."""
+    z = a._ints
     ech = _Echelon()
-    vecs: list[Vec] = []
-    wits: list[Word] = []
-    queue: deque[tuple[Word, Vec]] = deque()
-    if ech.add(a.s0):
-        vecs.append(a.s0)
-        wits.append(EPSILON)
-        queue.append((EPSILON, a.s0))
+    found: list[tuple[Word, IState]] = []
+    if ech.add(z.s0):
+        found.append((EPSILON, (z.s0, z.d0)))
+    queue = deque(found)
     while queue:
-        w, v = queue.popleft()
+        w, state = queue.popleft()
         for s in range(len(a.alphabet)):
-            nv = _mat_vec(a.mats[s], v)
-            if ech.add(nv):
-                nw = w + Word((s,))
-                vecs.append(nv)
-                wits.append(nw)
-                queue.append((nw, nv))
-    return VecSpaceBasis(tuple(vecs), tuple(wits))
+            nxt = z.step(state, s)
+            if ech.add(nxt[0]):
+                found.append((w + Word((s,)), nxt))
+                queue.append(found[-1])
+    return _basis(found)
 
 
 def backward_basis(a: Wa) -> VecSpaceBasis:
@@ -192,45 +274,32 @@ def backward_basis(a: Wa) -> VecSpaceBasis:
     bw corresponds to multiplying its row by M(b) on the right, so the
     witness set is closed under removing the first letter.
     """
+    z = a._ints
     ech = _Echelon()
-    vecs: list[Vec] = []
-    wits: list[Word] = []
-    layer: list[tuple[Word, Vec]] = []
-    if ech.add(a.f):
-        vecs.append(a.f)
-        wits.append(EPSILON)
-        layer.append((EPSILON, a.f))
+    found: list[tuple[Word, IState]] = []
+    if ech.add(z.f):
+        found.append((EPSILON, (z.f, z.df)))
+    layer = list(found)
     while layer:
-        nxt: list[tuple[Word, Vec]] = []
+        nxt: list[tuple[Word, IState]] = []
         for s in range(len(a.alphabet)):
-            for w, r in layer:
-                nr = _row_mat(r, a.mats[s])
-                if ech.add(nr):
-                    nw = Word((s,)) + w
-                    vecs.append(nr)
-                    wits.append(nw)
-                    nxt.append((nw, nr))
+            for w, state in layer:
+                row = z.step_back(state, s)
+                if ech.add(row[0]):
+                    nxt.append((Word((s,)) + w, row))
+        found += nxt
         layer = nxt
-    order = sorted(range(len(wits)), key=lambda i: (len(wits[i].syms), wits[i].syms))
-    return VecSpaceBasis(tuple(vecs[i] for i in order), tuple(wits[i] for i in order))
-
-
-def _obs_row(a: Wa, w: Word) -> Vec:
-    r = a.f
-    for s in reversed(w.syms):
-        r = _row_mat(r, a.mats[s])
-    return r
+    found.sort(key=lambda e: (len(e[0].syms), e[0].syms))
+    return _basis(found)
 
 
 def is_state_cover_wa(a: Wa, p: Suite) -> bool:
     """Does {M(w) s0 | w in p} span the whole state space (and eps in p)?"""
     if not p.contains_epsilon():
         return False
+    z = a._ints
     ech = _Echelon()
-    for w in p:
-        v = a.s0
-        for s in w.syms:
-            v = _mat_vec(a.mats[s], v)
+    for v, _ in execute(p.plan, (z.s0, z.d0), z.step):
         ech.add(v)
     return ech.rank == a.dim
 
@@ -239,9 +308,13 @@ def is_char_set_wa(a: Wa, w: Suite) -> bool:
     """Do the observation rows of w span the full observation row space?"""
     if not w.contains_epsilon():
         return False
+    z = a._ints
     ech = _Echelon()
     for v in w:
-        ech.add(_obs_row(a, v))
+        row = (z.f, z.df)
+        for s in reversed(v.syms):
+            row = z.step_back(row, s)
+        ech.add(row[0])
     return ech.rank == backward_basis(a).rank
 
 
@@ -285,14 +358,30 @@ def minimize_wa(a: Wa) -> Wa:
     return Wa(a.alphabet, t, s0, tuple(quo_mats), f)
 
 
-def _difference(a: Wa, b: Wa) -> Wa:
-    d = a.dim + b.dim
-    mats = []
-    for ma, mb in zip(a.mats, b.mats):
-        rows = [tuple(ma[i]) + (ZERO,) * b.dim for i in range(a.dim)]
-        rows += [(ZERO,) * a.dim + tuple(mb[i]) for i in range(b.dim)]
-        mats.append(tuple(rows))
-    return Wa(a.alphabet, d, a.s0 + b.s0, tuple(mats), a.f + tuple(-x for x in b.f))
+def _difference(a: Wa, b: Wa) -> _IntForm:
+    """Integer form of the machine whose value is a's minus b's: the two
+    state spaces side by side. Each part of both machines is brought to
+    the lcm of their two denominators, so both blocks scale alike."""
+    za, zb = a._ints, b._ints
+    pad_a, pad_b = (0,) * a.dim, (0,) * b.dim
+
+    def side_by_side(u: IVec, du: int, v: IVec, dv: int, sign: int) -> tuple[IVec, int]:
+        d = lcm(du, dv)
+        return tuple(x * (d // du) for x in u) + tuple(sign * x * (d // dv) for x in v), d
+
+    rows, dm = [], []
+    for ra, da, rb, db in zip(za.rows, za.dm, zb.rows, zb.dm):
+        d = lcm(da, db)
+        top = tuple(tuple(x * (d // da) for x in r) + pad_b for r in ra)
+        bottom = tuple(pad_a + tuple(x * (d // db) for x in r) for r in rb)
+        rows.append(top + bottom)
+        dm.append(d)
+    return _IntForm(
+        *side_by_side(za.s0, za.d0, zb.s0, zb.d0, 1),
+        tuple(rows),
+        tuple(dm),
+        *side_by_side(za.f, za.df, zb.f, zb.df, -1),
+    )
 
 
 def equiv_wa(a: Wa, b: Wa) -> EquivResult:
@@ -300,34 +389,40 @@ def equiv_wa(a: Wa, b: Wa) -> EquivResult:
     on which the values differ (length < dim(a) + dim(b))."""
     if a.alphabet != b.alphabet:
         raise ValueError("machine alphabets differ")
-    d = _difference(a, b)
-    if _dot(d.f, d.s0) != 0:
+    z = _difference(a, b)
+    if _idot(z.f, z.s0):
         return EquivResult(False, EPSILON)
     ech = _Echelon()
-    queue: deque[tuple[Word, Vec]] = deque()
-    if ech.add(d.s0):
-        queue.append((EPSILON, d.s0))
+    queue: deque[tuple[Word, IState]] = deque()
+    if ech.add(z.s0):
+        queue.append((EPSILON, (z.s0, z.d0)))
     while queue:
-        w, v = queue.popleft()
-        for s in range(len(d.alphabet)):
-            nv = _mat_vec(d.mats[s], v)
+        w, state = queue.popleft()
+        for s in range(len(a.alphabet)):
+            nxt = z.step(state, s)
             nw = w + Word((s,))
-            if _dot(d.f, nv) != 0:
+            if _idot(z.f, nxt[0]):
                 return EquivResult(False, nw)
-            if ech.add(nv):
-                queue.append((nw, nv))
+            if ech.add(nxt[0]):
+                queue.append((nw, nxt))
     return EquivResult(True, None)
+
+
+def _suite_values(a: Wa, t: Suite) -> list[Fraction]:
+    z = a._ints
+    return [z.value(state) for state in execute(t.plan, (z.s0, z.d0), z.step)]
 
 
 def agree_on_wa(spec: Wa, impl: Wa, t: Suite) -> list[Verdict]:
     """One exact-value verdict per suite word."""
     if spec.alphabet != impl.alphabet:
         raise ValueError("machine alphabets differ")
-    out = []
-    for w in t:
-        s, i = wa_lang(spec, w), wa_lang(impl, w)
-        out.append(Verdict(w, s, i, s == i))
-    return out
+    if t.alphabet != spec.alphabet:
+        raise ValueError("suite alphabet differs from the machines' alphabet")
+    return [
+        Verdict(w, s, i, s == i)
+        for w, s, i in zip(t, _suite_values(spec, t), _suite_values(impl, t))
+    ]
 
 
 def in_fault_domain_wa(impl: Wa, p: Suite, k: int) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 EPS_TOKEN = "-eps-"
 
@@ -83,6 +83,98 @@ class Word:
 
 EPSILON = Word(())
 
+# One entry per word: (index of the longest earlier word that is a proper
+# prefix of it, or -1 for the root; the word's symbols; that prefix's length).
+Plan = tuple[tuple[int, tuple, int], ...]
+State = TypeVar("State")
+
+
+def _common_prefix(u: Sequence, v: Sequence, lo: int, hi: int) -> int:
+    """Length of the common prefix of u and v, known to lie in [lo, hi]."""
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if u[lo:mid] == v[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def prefix_plan(words: Sequence[tuple]) -> Plan:
+    """Plan the execution of distinct words given in canonical order.
+
+    A compressed trie of the words seen so far finds each word's longest
+    proper prefix among the earlier words. The canonical order puts every
+    prefix before the words extending it, and no earlier word is longer,
+    so a new word always ends in a fresh leaf. Edge labels are slices of
+    the words themselves, and the trie has at most two nodes per word.
+    A word whose one-shorter prefix is a word hangs its leaf under that
+    word's node, found by hashing. Any other word walks down from the
+    previous such walk's path, at their longest common prefix, and so
+    visits only nodes below that depth. Time and memory are linear in
+    the number of symbols.
+    """
+    plan = []
+    # node: (index of a word through the node, the node's depth, children by next symbol)
+    root: tuple[int, int, dict] = (-1, 0, {})
+    nodes = {(): (-1, root)}  # word -> (its index, its node); -1 is the root
+    # the last walk's trie path; each node comes with the deepest word node
+    # at or above it, as (its index, its length)
+    path = [(root, -1, 0)]
+    prev: tuple = ()
+    for i, w in enumerate(words):
+        if not w:  # the empty word is the root's own state
+            plan.append((-1, w, 0))
+            continue
+        hit = nodes.get(w[:-1])
+        if hit is not None:
+            anchor, start = hit[0], len(w) - 1
+            depth, kids = start, hit[1][2]
+        else:
+            common = _common_prefix(prev, w, 0, min(len(prev), len(w)))
+            while path[-1][0][1] > common:
+                path.pop()
+            while True:
+                node, anchor, start = path[-1]
+                depth, kids = node[1], node[2]
+                child = kids.get(w[depth])
+                if child is None:
+                    break
+                label, end = words[child[0]], child[1]
+                if w[depth:end] == label[depth:end]:
+                    is_word = end == len(label)
+                    path.append((child, child[0], end) if is_word else (child, anchor, start))
+                    continue
+                split = _common_prefix(w, label, depth + 1, end - 1)
+                child = (i, split, {label[split]: child})
+                kids[w[depth]] = child
+                depth, kids = split, child[2]
+                path.append((child, anchor, start))
+                break
+        leaf = (i, len(w), {})
+        kids[w[depth]] = leaf
+        nodes[w] = (i, leaf)
+        if hit is None:
+            path.append((leaf, i, len(w)))
+            prev = w
+        plan.append((anchor, w, start))
+    return tuple(plan)
+
+
+def execute(plan: Plan, init: State, step: Callable[[State, object], State]) -> list[State]:
+    """The state reached by every planned word, in plan order.
+
+    Each word starts from the state of its planned prefix, so a symbol
+    shared with an earlier suite word is stepped only once.
+    """
+    states: list[State] = []
+    for parent, syms, start in plan:
+        s = init if parent < 0 else states[parent]
+        for a in syms[start:]:
+            s = step(s, a)
+        states.append(s)
+    return states
+
 
 @dataclass(frozen=True)
 class Suite:
@@ -129,6 +221,11 @@ class Suite:
 
     def contains_epsilon(self) -> bool:
         return EPSILON in self._member_set
+
+    @cached_property
+    def plan(self) -> Plan:
+        """The prefix-sharing execution plan of the words (see `prefix_plan`)."""
+        return prefix_plan([w.syms for w in self.words])
 
 
 @dataclass(frozen=True)

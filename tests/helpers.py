@@ -97,3 +97,41 @@ def random_minimal_rna(rng: random.Random, max_locs=3, max_arity=1) -> Rna:
         m = random_rna(rng, max_locs, max_arity)
         if is_minimal_rna(m):
             return m
+
+
+def fraction_rank(vectors) -> int:
+    """Rank by Gaussian elimination over Fractions: the reference for the
+    integer elimination in `wmethod.weighted`."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            c = rows[r][col] / rows[rank][col]
+            rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_state(a: Wa, w) -> tuple[Fraction, ...]:
+    """M(w) s0 by Fraction matrix-vector products."""
+    v = a.s0
+    for s in w.syms:
+        v = tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a.mats[s])
+    return v
+
+
+def fraction_row(a: Wa, w) -> tuple[Fraction, ...]:
+    """f^T M(w) by Fraction vector-matrix products."""
+    r = a.f
+    for s in reversed(w.syms):
+        m = a.mats[s]
+        r = tuple(sum((r[i] * m[i][j] for i in range(a.dim)), Fraction(0)) for j in range(a.dim))
+    return r
+
+
+def fraction_value(a: Wa, w) -> Fraction:
+    return sum((x * y for x, y in zip(a.f, fraction_state(a, w))), Fraction(0))

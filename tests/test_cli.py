@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from helpers import FIXTURES
 from wmethod.cli import main
 from wmethod.formats import parse_machine, parse_suite
@@ -175,3 +177,28 @@ def test_rna_gen_and_run(tmp_path):
     assert "1 1" in text
     code, _ = run_cli("run", RNA, RNA, str(suite))
     assert code == 0
+
+
+EPS_PAIRS = {
+    "dfa": (
+        "kind dfa\nalphabet a\nstates 1\ninitial 0\naccepting 0\ntrans 0 a 0\n",
+        "kind dfa\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0\n",
+    ),
+    "wa": (
+        "kind wa\nalphabet a\ndim 1\ninit 0 1\nfinal 0 1\ntrans 0 a 0 1\n",
+        "kind wa\nalphabet a\ndim 1\ninit 0 1\nfinal 0 2\ntrans 0 a 0 1\n",
+    ),
+    "rna": (
+        "kind rna\nloc q0 0\ninitial q0\naccepting q0\ntrans q0 fresh q0\n",
+        "kind rna\nloc q0 0\ninitial q0\ntrans q0 fresh q0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(EPS_PAIRS))
+def test_equiv_prints_empty_counterexample(tmp_path, family):
+    a, b = tmp_path / "a.m", tmp_path / "b.m"
+    a.write_text(EPS_PAIRS[family][0])
+    b.write_text(EPS_PAIRS[family][1])
+    code, out = run_cli("equiv", str(a), str(b))
+    assert (code, out) == (1, "inequivalent -eps-\n")
