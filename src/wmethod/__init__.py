@@ -11,6 +11,7 @@ from .words import (
     EPS_TOKEN,
     EPSILON,
     Alphabet,
+    EquivResult,
     NotMinimalError,
     Suite,
     Verdict,
@@ -21,7 +22,6 @@ from .words import (
     words_upto,
 )
 from .fsm import (
-    EquivResult,
     Fsm,
     agree_on,
     char_set,
@@ -55,7 +55,6 @@ from .nominal import (
     OracleLimitError,
     OrbitSuite,
     Rna,
-    RnaEquivResult,
     SymbolicWord,
     agree_on_rna,
     char_set_rna,
@@ -89,5 +88,7 @@ from .formats import (
     serialize_machine,
     serialize_suite,
 )
+
+RnaEquivResult = EquivResult  # the former register-automaton result type
 
 __version__ = "0.1.0"

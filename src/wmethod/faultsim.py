@@ -19,8 +19,9 @@ from fractions import Fraction
 from . import fsm as F
 from . import nominal as N
 from . import weighted as W
+from .family import family_of
 from .nominal import OracleLimitError
-from .words import NotMinimalError, Suite, w_suite
+from .words import NotMinimalError, Suite
 
 FAMILIES = ("fsm", "wa", "rna")
 
@@ -257,90 +258,33 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+def _mutants(spec, k: int, ms: MutationSpec, p) -> list[tuple[object, bool]]:
+    """The mutant stream with each mutant's fault-domain membership: the
+    one per-family step of an experiment."""
+    if ms.family == "fsm":
+        return [(m, m.n_states <= spec.n_states + k) for m in gen_mutants_fsm(spec, ms)]
+    if ms.family == "wa":  # gen_mutants_wa and gen_mutants_rna only return in-domain mutants
+        return [(m, True) for m in gen_mutants_wa(spec, ms, p, k)]
+    return [(m, True) for m in gen_mutants_rna(spec, ms, p)]
+
+
 def completeness_experiment(spec, k: int, ms: MutationSpec) -> ExperimentReport:
     """Generate mutants, execute the W suite of order k, oracle-check survivors."""
-    if isinstance(spec, F.Fsm):
-        return _experiment_fsm(spec, k, ms)
-    if isinstance(spec, W.Wa):
-        return _experiment_wa(spec, k, ms)
-    if isinstance(spec, N.Rna):
-        return _experiment_rna(spec, k, ms)
-    raise TypeError(f"unsupported specification type {type(spec).__name__}")
-
-
-def _first_failure(verdicts):
-    for v in verdicts:
-        if not v.passed:
-            return v.word
-    return None
-
-
-def _experiment_fsm(spec: F.Fsm, k: int, ms: MutationSpec) -> ExperimentReport:
-    if ms.family != "fsm":
+    fam = family_of(spec)
+    if ms.family != fam.name:
         raise ValueError("mutation spec family does not match the specification")
-    if not F.is_minimal(spec):
-        raise NotMinimalError("completeness experiments need a minimal specification")
-    p = F.state_cover(spec)
-    w = F.char_set(spec)
-    suite = w_suite(p, spec.alphabet, k, w)
+    fam.canonical(spec, False)
+    p = fam.cover(spec)
+    suite = fam.suite(p, k, fam.charset(spec))
+    expected = fam.values(spec, suite)
     results = []
-    for idx, mut in enumerate(gen_mutants_fsm(spec, ms)):
-        in_domain = mut.n_states <= spec.n_states + k
-        word = _first_failure(F.agree_on(spec, mut, suite))
-        oracle = "equiv" if F.equiv(spec, mut).equivalent else "inequiv"
-        results.append(
-            MutantResult(
-                idx,
-                in_domain,
-                word.render(spec.alphabet) if word is not None else None,
-                oracle,
-            )
-        )
-    return ExperimentReport("fsm", ms.seed, k, len(suite), tuple(results))
-
-
-def _experiment_wa(spec: W.Wa, k: int, ms: MutationSpec) -> ExperimentReport:
-    if ms.family != "wa":
-        raise ValueError("mutation spec family does not match the specification")
-    if not W.is_minimal_wa(spec):
-        raise NotMinimalError("completeness experiments need a minimal specification")
-    fb = W.forward_basis(spec)
-    if fb.rank != spec.dim:
-        raise NotMinimalError("specification state space is not reachable; minimize first")
-    p = Suite(spec.alphabet, fb.witnesses)
-    w = Suite(spec.alphabet, W.backward_basis(spec).witnesses)
-    suite = w_suite(p, spec.alphabet, k, w)
-    results = []
-    for idx, mut in enumerate(gen_mutants_wa(spec, ms, p, k)):
-        word = _first_failure(W.agree_on_wa(spec, mut, suite))
-        oracle = "equiv" if W.equiv_wa(spec, mut).equivalent else "inequiv"
-        results.append(
-            MutantResult(
-                idx,
-                True,  # gen_mutants_wa only returns in-domain mutants
-                word.render(spec.alphabet) if word is not None else None,
-                oracle,
-            )
-        )
-    return ExperimentReport("wa", ms.seed, k, len(suite), tuple(results))
-
-
-def _experiment_rna(spec: N.Rna, k: int, ms: MutationSpec) -> ExperimentReport:
-    if ms.family != "rna":
-        raise ValueError("mutation spec family does not match the specification")
-    if not N.is_minimal_rna(spec):
-        raise NotMinimalError("completeness experiments need a minimal specification")
-    p = N.state_cover_rna(spec)
-    w = N.char_set_rna(spec)
-    suite = N.w_suite_rna(p, k, w)
-    results = []
-    for idx, mut in enumerate(gen_mutants_rna(spec, ms, p)):
-        pat = _first_failure(N.agree_on_rna(spec, mut, suite))
+    for idx, (mut, in_domain) in enumerate(_mutants(spec, k, ms, p)):
+        got = fam.values(mut, suite)
+        word = next((t for t, x, y in zip(suite, expected, got) if x != y), None)
         try:
-            oracle = "equiv" if N.equiv_rna(spec, mut).equivalent else "inequiv"
+            oracle = "equiv" if fam.equiv(spec, mut).equivalent else "inequiv"
         except OracleLimitError:
             oracle = "timeout"
-        results.append(
-            MutantResult(idx, True, pat.render() if pat is not None else None, oracle)
-        )
-    return ExperimentReport("rna", ms.seed, k, len(suite), tuple(results))
+        killed_by = fam.render(word, spec) if word is not None else None
+        results.append(MutantResult(idx, in_domain, killed_by, oracle))
+    return ExperimentReport(fam.name, ms.seed, k, len(suite), tuple(results))

@@ -17,12 +17,12 @@ from typing import Mapping
 from .words import (
     EPSILON,
     Alphabet,
+    EquivResult,
     NotMinimalError,
     Suite,
     Verdict,
     Word,
     execute,
-    words_upto,
 )
 
 KINDS = ("dfa", "moore", "mealy")
@@ -77,21 +77,9 @@ class Fsm:
         return self.output[q]
 
 
-@dataclass(frozen=True)
-class EquivResult:
-    equivalent: bool
-    counterexample: Word | None = None
-
-    def __bool__(self) -> bool:
-        return self.equivalent
-
-
 def run(m: Fsm, w: Word) -> int:
     """State reached from the initial state after reading w."""
-    q = m.initial
-    for a in w.syms:
-        q = m.delta[q][a]
-    return q
+    return _run_from(m, m.initial, w)
 
 
 def lang_value(m: Fsm, w: Word):
@@ -199,7 +187,7 @@ def state_cover(m: Fsm) -> Suite:
                 queue.append(t)
     missing = [q for q in range(m.n_states) if q not in access]
     if missing:
-        raise ValueError(f"state {missing[0]} is unreachable; no state cover exists")
+        raise NotMinimalError(f"state {missing[0]} is unreachable; no state cover exists")
     return Suite(m.alphabet, tuple(access.values()))
 
 
@@ -312,7 +300,8 @@ def weak_cover_map(m: Fsm, p: Suite) -> dict[tuple[Word, int], Word]:
     return table
 
 
-def _suite_values(m: Fsm, t: Suite) -> list:
+def suite_values(m: Fsm, t: Suite) -> list:
+    """The language value of every suite word, in suite order."""
     delta = m.delta
     return [m.signature(q) for q in execute(t.plan, m.initial, lambda q, a: delta[q][a])]
 
@@ -324,7 +313,7 @@ def agree_on(spec: Fsm, impl: Fsm, t: Suite) -> list[Verdict]:
         raise ValueError("suite alphabet differs from the machines' alphabet")
     return [
         Verdict(w, s, i, s == i)
-        for w, s, i in zip(t, _suite_values(spec, t), _suite_values(impl, t))
+        for w, s, i in zip(t, suite_values(spec, t), suite_values(impl, t))
     ]
 
 
@@ -344,13 +333,4 @@ def equiv(a: Fsm, b: Fsm) -> EquivResult:
             if nxt not in access:
                 access[nxt] = access[pair] + Word((sym,))
                 queue.append(nxt)
-    return EquivResult(True, None)
-
-
-def brute_force_equiv(a: Fsm, b: Fsm, max_len: int) -> EquivResult:
-    """Compare language values on every word of length <= max_len."""
-    _check_compatible(a, b)
-    for w in words_upto(a.alphabet, max_len):
-        if lang_value(a, w) != lang_value(b, w):
-            return EquivResult(False, w)
     return EquivResult(True, None)

@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterator, Mapping, Sequence
 
-from .words import NotMinimalError, Plan, Verdict, execute, prefix_plan
+from .words import EquivResult, NotMinimalError, Plan, Verdict, execute, prefix_plan
 
 Atom = int
 
@@ -395,11 +395,11 @@ def agree_on_rna(spec: Rna, impl: Rna, t: OrbitSuite) -> list[Verdict]:
     every concrete instance of its orbit."""
     return [
         Verdict(s, acc_s, acc_i, acc_s == acc_i)
-        for s, acc_s, acc_i in zip(t, _suite_acceptance(spec, t), _suite_acceptance(impl, t))
+        for s, acc_s, acc_i in zip(t, suite_values_rna(spec, t), suite_values_rna(impl, t))
     ]
 
 
-def _suite_acceptance(a: Rna, t: OrbitSuite) -> list[bool]:
+def suite_values_rna(a: Rna, t: OrbitSuite) -> list[bool]:
     """Acceptance of the canonical instance of every pattern (see `symbolic_run`)."""
     states = execute(t.plan, (a.initial, ()), lambda st, x: _step(a, st[0], st[1], x))
     return [loc in a.accepting for loc, _ in states]
@@ -453,21 +453,12 @@ def _pair_bfs(
     return True, None
 
 
-@dataclass(frozen=True)
-class RnaEquivResult:
-    equivalent: bool
-    counterexample: SymbolicWord | None = None
-
-    def __bool__(self) -> bool:
-        return self.equivalent
-
-
-def equiv_rna(a: Rna, b: Rna, max_configs: int | None = None) -> RnaEquivResult:
+def equiv_rna(a: Rna, b: Rna, max_configs: int | None = None) -> EquivResult:
     """Exact language equivalence; the counterexample is a shortest pattern."""
     eq, word = _pair_bfs(a, b, (a.initial, ()), (b.initial, ()), max_configs)
     if eq:
-        return RnaEquivResult(True, None)
-    return RnaEquivResult(False, SymbolicWord.from_atoms(word))
+        return EquivResult(True, None)
+    return EquivResult(False, SymbolicWord.from_atoms(word))
 
 
 def _pair_configs(a: Rna) -> Iterator[tuple[State, State]]:
@@ -569,11 +560,3 @@ def char_set_rna(a: Rna) -> OrbitSuite:
             raise AssertionError("equivalent pair in a minimal machine")
         pats.add(SymbolicWord.from_atoms(word))
     return OrbitSuite(tuple(pats))
-
-
-def brute_force_equiv_rna(a: Rna, b: Rna, max_len: int) -> RnaEquivResult:
-    """Compare acceptance on every orbit pattern of length <= max_len."""
-    for s in patterns_upto(max_len):
-        if symbolic_run(a, s)[1] != symbolic_run(b, s)[1]:
-            return RnaEquivResult(False, s)
-    return RnaEquivResult(True, None)

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 from .words import (
     EPSILON,
     Alphabet,
+    EquivResult,
     Suite,
     Verdict,
     Word,
@@ -33,7 +34,6 @@ from .words import (
     execute,
     words_upto,
 )
-from .fsm import EquivResult
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -408,7 +408,8 @@ def equiv_wa(a: Wa, b: Wa) -> EquivResult:
     return EquivResult(True, None)
 
 
-def _suite_values(a: Wa, t: Suite) -> list[Fraction]:
+def suite_values_wa(a: Wa, t: Suite) -> list[Fraction]:
+    """The exact value of every suite word, in suite order."""
     z = a._ints
     return [z.value(state) for state in execute(t.plan, (z.s0, z.d0), z.step)]
 
@@ -421,7 +422,7 @@ def agree_on_wa(spec: Wa, impl: Wa, t: Suite) -> list[Verdict]:
         raise ValueError("suite alphabet differs from the machines' alphabet")
     return [
         Verdict(w, s, i, s == i)
-        for w, s, i in zip(t, _suite_values(spec, t), _suite_values(impl, t))
+        for w, s, i in zip(t, suite_values_wa(spec, t), suite_values_wa(impl, t))
     ]
 
 
@@ -429,13 +430,3 @@ def in_fault_domain_wa(impl: Wa, p: Suite, k: int) -> bool:
     """Membership in the spanning fault domain: P . Sigma^{<=k} is a state
     cover for the implementation."""
     return is_state_cover_wa(impl, concat_suites(p, words_upto(p.alphabet, k)))
-
-
-def brute_force_equiv_wa(a: Wa, b: Wa, max_len: int) -> EquivResult:
-    """Compare values on every word of length <= max_len."""
-    if a.alphabet != b.alphabet:
-        raise ValueError("machine alphabets differ")
-    for w in words_upto(a.alphabet, max_len):
-        if wa_lang(a, w) != wa_lang(b, w):
-            return EquivResult(False, w)
-    return EquivResult(True, None)

@@ -15,7 +15,7 @@ EPS_TOKEN = "-eps-"
 
 
 class NotMinimalError(ValueError):
-    """Raised when an operation requires a minimal machine and got a non-minimal one."""
+    """Raised when an operation needs a canonical (reachable and minimal) machine."""
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,18 @@ class Suite:
     def plan(self) -> Plan:
         """The prefix-sharing execution plan of the words (see `prefix_plan`)."""
         return prefix_plan([w.syms for w in self.words])
+
+
+@dataclass(frozen=True)
+class EquivResult:
+    """Outcome of an equivalence oracle. The counterexample is a Word (a
+    SymbolicWord for register automata), None when equivalent."""
+
+    equivalent: bool
+    counterexample: object = None
+
+    def __bool__(self) -> bool:
+        return self.equivalent
 
 
 @dataclass(frozen=True)

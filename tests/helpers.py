@@ -6,7 +6,18 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from wmethod import Alphabet, Fsm, Rna, Wa
+from wmethod import (
+    Alphabet,
+    EquivResult,
+    Fsm,
+    Rna,
+    Wa,
+    lang_value,
+    patterns_upto,
+    symbolic_run,
+    wa_lang,
+    words_upto,
+)
 from wmethod import nominal as N
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -135,3 +146,31 @@ def fraction_row(a: Wa, w) -> tuple[Fraction, ...]:
 
 def fraction_value(a: Wa, w) -> Fraction:
     return sum((x * y for x, y in zip(a.f, fraction_state(a, w))), Fraction(0))
+
+
+def brute_force_equiv(a: Fsm, b: Fsm, max_len: int) -> EquivResult:
+    """Compare language values on every word of length <= max_len."""
+    if a.kind != b.kind or a.alphabet != b.alphabet:
+        raise ValueError("machines are not comparable")
+    for w in words_upto(a.alphabet, max_len):
+        if lang_value(a, w) != lang_value(b, w):
+            return EquivResult(False, w)
+    return EquivResult(True, None)
+
+
+def brute_force_equiv_wa(a: Wa, b: Wa, max_len: int) -> EquivResult:
+    """Compare values on every word of length <= max_len."""
+    if a.alphabet != b.alphabet:
+        raise ValueError("machine alphabets differ")
+    for w in words_upto(a.alphabet, max_len):
+        if wa_lang(a, w) != wa_lang(b, w):
+            return EquivResult(False, w)
+    return EquivResult(True, None)
+
+
+def brute_force_equiv_rna(a: Rna, b: Rna, max_len: int) -> EquivResult:
+    """Compare acceptance on every orbit pattern of length <= max_len."""
+    for s in patterns_upto(max_len):
+        if symbolic_run(a, s)[1] != symbolic_run(b, s)[1]:
+            return EquivResult(False, s)
+    return EquivResult(True, None)

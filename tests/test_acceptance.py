@@ -8,7 +8,16 @@ import functools
 import random
 import time
 
-from helpers import random_fsm, random_minimal_fsm, random_minimal_wa, random_rna, random_wa
+from helpers import (
+    brute_force_equiv,
+    brute_force_equiv_rna,
+    brute_force_equiv_wa,
+    random_fsm,
+    random_minimal_fsm,
+    random_minimal_wa,
+    random_rna,
+    random_wa,
+)
 from wmethod import (
     MutationSpec,
     OrbitSuite,
@@ -40,9 +49,6 @@ from wmethod import (
     words_upto,
 )
 from wmethod.faultsim import gen_mutants_wa, redirect_transition
-from wmethod.fsm import brute_force_equiv
-from wmethod.nominal import brute_force_equiv_rna
-from wmethod.weighted import brute_force_equiv_wa
 
 P_ = SymbolicWord
 

@@ -202,3 +202,43 @@ def test_equiv_prints_empty_counterexample(tmp_path, family):
     b.write_text(EPS_PAIRS[family][1])
     code, out = run_cli("equiv", str(a), str(b))
     assert (code, out) == (1, "inequivalent -eps-\n")
+
+
+# Precondition matrix: a DFA and a WA with an unreachable state, and an RNA
+# whose location ignores its register (not minimal), against every
+# subcommand that takes a single specification.
+DEFECTIVE = {
+    "dfa": (
+        "kind dfa\nalphabet a\nstates 3\ninitial 0\naccepting 1\n"
+        "trans 0 a 1\ntrans 1 a 0\ntrans 2 a 2\n"
+    ),
+    "wa": (
+        "kind wa\nalphabet a\ndim 2\ninit 0 1\nfinal 0 1\nfinal 1 1\n"
+        "trans 0 a 0 1\ntrans 1 a 1 2\n"
+    ),
+    "rna": (
+        "kind rna\nloc q0 0\nloc junk 1\ninitial q0\naccepting junk\n"
+        "trans q0 fresh junk x\ntrans junk eq 1 junk r1\ntrans junk fresh junk x\n"
+    ),
+}
+SUBCOMMANDS = ("gen", "cover", "charset", "faultsim", "minimize")
+EXPECTED_EXIT = {
+    "dfa": (3, 3, 0, 3, 0),
+    "wa": (3, 3, 0, 3, 0),
+    "rna": (3, 0, 3, 3, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "machine, command",
+    [(m, c) for m in sorted(DEFECTIVE) for c in SUBCOMMANDS],
+)
+def test_precondition_matrix(tmp_path, machine, command):
+    spec = tmp_path / "spec.m"
+    spec.write_text(DEFECTIVE[machine])
+    argv = {
+        "gen": ["gen", "--k", "0", "-o", str(tmp_path / "suite.txt")],
+        "faultsim": ["faultsim", "--k", "0", "--mutants", "5"],
+    }.get(command, [command])
+    code, _ = run_cli(*argv, str(spec))
+    assert code == EXPECTED_EXIT[machine][SUBCOMMANDS.index(command)]

@@ -28,6 +28,7 @@ from wmethod import (
     w_suite_rna,
     weak_cover_map_rna,
 )
+from wmethod.family import family_of
 from wmethod.faultsim import redirect_transition, set_output
 
 
@@ -106,6 +107,33 @@ def test_experiment_rna(same_twice):
 def test_experiment_family_mismatch(coffee):
     with pytest.raises(ValueError):
         completeness_experiment(coffee, 0, MutationSpec("wa", 0, 5, 1))
+
+
+def test_experiment_unsupported_type():
+    with pytest.raises(TypeError):
+        completeness_experiment(object(), 0, MutationSpec("fsm", 0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "name, k", [("coffee_mealy.aut", 1), ("binary_value.wa", 1), ("same_twice.rna", 0)]
+)
+def test_killed_by_is_first_failing_verdict(name, k):
+    # the experiment runs the specification once and compares values; the
+    # word it reports must be the first failing verdict of the agree path
+    spec = load(name)
+    fam = family_of(spec)
+    ms = MutationSpec(fam.name, k, 30, 17)
+    suite = fam.suite(fam.cover(spec), k, fam.charset(spec))
+    mutants = {
+        "fsm": lambda: gen_mutants_fsm(spec, ms),
+        "wa": lambda: gen_mutants_wa(spec, ms, fam.cover(spec), k),
+        "rna": lambda: gen_mutants_rna(spec, ms, fam.cover(spec)),
+    }[fam.name]()
+    report = completeness_experiment(spec, k, ms)
+    assert len(report.results) == len(mutants)
+    for r, mut in zip(report.results, mutants):
+        failed = [v.word for v in fam.agree(spec, mut, suite) if not v.passed]
+        assert r.killed_by == (fam.render(failed[0], spec) if failed else None)
 
 
 def test_wa_mutants_stay_in_domain(binary_wa):

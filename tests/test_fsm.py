@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import random_fsm, random_minimal_fsm
+from helpers import brute_force_equiv, random_fsm, random_minimal_fsm
 from wmethod import (
     EPSILON,
     Alphabet,
@@ -28,7 +28,7 @@ from wmethod import (
     weak_cover_map,
     words_upto,
 )
-from wmethod.fsm import brute_force_equiv, _run_from
+from wmethod.fsm import _run_from
 
 
 def brute_distinguishable(m, p, q, max_len):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_rna
+from helpers import brute_force_equiv_rna, random_rna
 from wmethod import (
     EPS_PATTERN,
     NotMinimalError,
@@ -25,7 +25,7 @@ from wmethod import (
     w_suite_rna,
     weak_cover_map_rna,
 )
-from wmethod.nominal import brute_force_equiv_rna, extension_choices, extend
+from wmethod.nominal import extension_choices, extend
 
 P_ = SymbolicWord
 
@@ -329,3 +329,10 @@ def test_minimality_same_location_register_junk():
         (((1, (0,)),), ((1, (1,)), (1, (0,)))),
     )
     assert not is_minimal_rna(m)
+
+
+def test_equiv_result_is_shared(same_twice):
+    from wmethod import EquivResult, RnaEquivResult
+
+    assert RnaEquivResult is EquivResult
+    assert equiv_rna(same_twice, same_twice) == EquivResult(True, None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_minimal_wa, random_wa
+from helpers import brute_force_equiv_wa, random_minimal_wa, random_wa
 from wmethod import (
     EPSILON,
     Alphabet,
@@ -23,7 +23,6 @@ from wmethod import (
     wa_lang,
     words_upto,
 )
-from wmethod.weighted import brute_force_equiv_wa
 
 AB = Alphabet(("a", "b"))
 
