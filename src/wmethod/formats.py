@@ -68,6 +68,12 @@ def _args(toks: list[str], usage: str, filename: str, no: int) -> list[str]:
     return toks[1:]
 
 
+def _once(value, d: str, filename: str, no: int) -> None:
+    """Reject a second occurrence of a directive that sets one value."""
+    if value is not None:
+        raise ParseError(filename, no, f"duplicate {d} directive")
+
+
 def _int(tok: str, filename: str, no: int, what: str) -> int:
     try:
         return int(tok)
@@ -93,17 +99,18 @@ def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
     for no, toks in items:
         d = toks[0]
         if d == "alphabet":
-            if alphabet is not None:
-                raise ParseError(filename, no, "duplicate alphabet directive")
+            _once(alphabet, d, filename, no)
             if len(toks) < 2:
                 raise ParseError(filename, no, "alphabet needs at least one symbol")
             if len(set(toks[1:])) != len(toks[1:]):
                 raise ParseError(filename, no, "alphabet symbols must be distinct")
             alphabet = Alphabet(tuple(toks[1:]))
         elif d == "states":
+            _once(n_states, d, filename, no)
             (arg,) = _args(toks, "states count", filename, no)
             n_states = _int(arg, filename, no, "states")
         elif d == "initial":
+            _once(initial, d, filename, no)
             (arg,) = _args(toks, "initial state", filename, no)
             initial = _int(arg, filename, no, "initial")
         elif d == "accepting":
@@ -197,20 +204,23 @@ def _parse_wa(items, filename: str, last: int) -> Wa:
     for no, toks in items:
         d = toks[0]
         if d == "alphabet":
+            _once(alphabet, d, filename, no)
             if len(set(toks[1:])) != len(toks[1:]) or len(toks) < 2:
                 raise ParseError(filename, no, "alphabet needs distinct symbols")
             alphabet = Alphabet(tuple(toks[1:]))
         elif d == "dim":
+            _once(dim, d, filename, no)
             (arg,) = _args(toks, "dim count", filename, no)
             dim = _int(arg, filename, no, "dim")
             if dim <= 0:
                 raise ParseError(filename, no, "dim must be positive")
-        elif d == "init":
-            state, weight = _args(toks, "init state weight", filename, no)
-            init[_int(state, filename, no, "init state")] = _rational(weight, filename, no)
-        elif d == "final":
-            state, weight = _args(toks, "final state weight", filename, no)
-            final[_int(state, filename, no, "final state")] = _rational(weight, filename, no)
+        elif d in ("init", "final"):
+            state, weight = _args(toks, f"{d} state weight", filename, no)
+            q = _int(state, filename, no, f"{d} state")
+            vec = init if d == "init" else final
+            if q in vec:
+                raise ParseError(filename, no, f"duplicate {d} weight for state {q}")
+            vec[q] = _rational(weight, filename, no)
         elif d == "trans":
             if len(toks) != 5 or alphabet is None:
                 raise ParseError(filename, no, "trans: `trans src sym dst weight` after alphabet")
@@ -262,6 +272,7 @@ def _parse_rna(items, filename: str, last: int) -> Rna:
             locs.append((toks[1], arity))
             loc_line[toks[1]] = no
         elif d == "initial":
+            _once(initial, d, filename, no)
             (name,) = _args(toks, "initial location", filename, no)
             initial = (no, name)
         elif d == "accepting":

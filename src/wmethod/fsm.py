@@ -10,6 +10,7 @@ output of the last transition of every one-symbol extension).
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
@@ -221,41 +222,38 @@ def char_set(m: Fsm) -> Suite:
     taking at each step the length-lex least word that splits a block of
     the current partition. At most n-1 words are added; the result is not
     guaranteed minimum-size.
+
+    Each chosen word keeps its column of outputs, one per state. The
+    column of a.v at q is v's column at delta(q, a), so no word is run
+    again. Untried extensions wait in a heap in length-lex order. The
+    partition only gets finer, and an extension that splits no block of
+    it cannot split a finer one, so each extension is tried once. If the
+    heap runs empty while blocks still merge states, those states are
+    equivalent: that is where a machine that is not minimal is detected.
     """
-    if not is_minimal(m):
-        raise NotMinimalError(
-            "machine is not minimal; a characterization set cannot separate equivalent states"
-        )
-    states = list(range(m.n_states))
+    n, delta = m.n_states, m.delta
+    ids: dict = {}
+    cols = [[ids.setdefault(m.signature(q), len(ids)) for q in range(n)]]
+    block, n_blocks = cols[0], len(ids)
     chosen: list[Word] = [EPSILON]
-
-    def partition(words: list[Word]) -> dict[int, tuple]:
-        return {q: tuple(m.signature(_run_from(m, q, v)) for v in words) for q in states}
-
-    part = partition(chosen)
-    while len(set(part.values())) < m.n_states:
-        candidates = sorted(
-            (Word((a,)) + v for a in range(len(m.alphabet)) for v in chosen),
-            key=lambda u: (len(u.syms), u.syms),
-        )
-        for cand in candidates:
-            if cand in chosen:
-                continue
-            # does cand split some current block?
-            split = False
-            groups: dict[tuple, object] = {}
-            for q in states:
-                sig = m.signature(_run_from(m, q, cand))
-                prev = groups.setdefault(part[q], sig)
-                if prev != sig:
-                    split = True
-                    break
-            if split:
-                chosen.append(cand)
-                part = partition(chosen)
-                break
-        else:  # pragma: no cover - impossible for minimal machines
-            raise AssertionError("no splitting word found for a minimal machine")
+    # (length, symbols, first symbol, index of the rest in chosen); sorted, so a heap
+    heap = [(1, (a,), a, 0) for a in range(len(m.alphabet))]
+    while n_blocks < n:
+        if not heap:
+            raise NotMinimalError(
+                "machine is not minimal; a characterization set cannot separate equivalent states"
+            )
+        size, syms, a, v = heapq.heappop(heap)
+        col = [cols[v][row[a]] for row in delta]
+        blocks: dict = {}
+        refined = [blocks.setdefault(key, len(blocks)) for key in zip(block, col)]
+        if len(blocks) == n_blocks:
+            continue
+        block, n_blocks = refined, len(blocks)
+        cols.append(col)
+        chosen.append(Word(syms))
+        for b in range(len(m.alphabet)):
+            heapq.heappush(heap, (size + 1, (b,) + syms, b, len(chosen) - 1))
     return Suite(m.alphabet, tuple(chosen))
 
 

@@ -42,14 +42,15 @@ class Alphabet:
         return {s: i for i, s in enumerate(self.symbols)}
 
     def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValueError(f"symbol {name!r} not in alphabet {self.symbols}") from None
+        (i,) = self.word(name).syms
+        return i
 
     def word(self, *names: str) -> Word:
         """Build a word from symbol names, e.g. ``ab.word('1', '1', 'c')``."""
-        return Word(tuple(self.index(n) for n in names))
+        try:
+            return Word(tuple(map(self._index.__getitem__, names)))
+        except KeyError as e:
+            raise ValueError(f"symbol {e.args[0]!r} not in alphabet {self.symbols}") from None
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,6 @@ class Word:
         # canonical length-lexicographic order
         return (len(self.syms), self.syms) < (len(other.syms), other.syms)
 
-    def prefixes(self) -> Iterator["Word"]:
-        for i in range(len(self.syms) + 1):
-            yield Word(self.syms[:i])
-
     def render(self, alphabet: Alphabet) -> str:
         if not self.syms:
             return EPS_TOKEN
@@ -89,75 +86,29 @@ Plan = tuple[tuple[int, tuple, int], ...]
 State = TypeVar("State")
 
 
-def _common_prefix(u: Sequence, v: Sequence, lo: int, hi: int) -> int:
-    """Length of the common prefix of u and v, known to lie in [lo, hi]."""
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if u[lo:mid] == v[lo:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def prefix_plan(words: Sequence[tuple]) -> Plan:
     """Plan the execution of distinct words given in canonical order.
 
-    A compressed trie of the words seen so far finds each word's longest
-    proper prefix among the earlier words. The canonical order puts every
-    prefix before the words extending it, and no earlier word is longer,
-    so a new word always ends in a fresh leaf. Edge labels are slices of
-    the words themselves, and the trie has at most two nodes per word.
-    A word whose one-shorter prefix is a word hangs its leaf under that
-    word's node, found by hashing. Any other word walks down from the
-    previous such walk's path, at their longest common prefix, and so
-    visits only nodes below that depth. Time and memory are linear in
-    the number of symbols.
+    One pass over the words in lexicographic order finds each word's
+    longest proper prefix among the words. That order puts every prefix
+    of a word before it, and every word between a prefix u and a word
+    extending u extends u as well. So a stack of the words seen so far,
+    each a proper prefix of the next, holds after popping the ones that
+    are not prefixes of the current word exactly the current word's
+    prefixes among the words. The empty word is the root's own state
+    and never an anchor. Time is one sort plus work linear in the number
+    of symbols; the canonical order makes every anchor an earlier word.
     """
-    plan = []
-    # node: (index of a word through the node, the node's depth, children by next symbol)
-    root: tuple[int, int, dict] = (-1, 0, {})
-    nodes = {(): (-1, root)}  # word -> (its index, its node); -1 is the root
-    # the last walk's trie path; each node comes with the deepest word node
-    # at or above it, as (its index, its length)
-    path = [(root, -1, 0)]
-    prev: tuple = ()
-    for i, w in enumerate(words):
-        if not w:  # the empty word is the root's own state
-            plan.append((-1, w, 0))
-            continue
-        hit = nodes.get(w[:-1])
-        if hit is not None:
-            anchor, start = hit[0], len(w) - 1
-            depth, kids = start, hit[1][2]
-        else:
-            common = _common_prefix(prev, w, 0, min(len(prev), len(w)))
-            while path[-1][0][1] > common:
-                path.pop()
-            while True:
-                node, anchor, start = path[-1]
-                depth, kids = node[1], node[2]
-                child = kids.get(w[depth])
-                if child is None:
-                    break
-                label, end = words[child[0]], child[1]
-                if w[depth:end] == label[depth:end]:
-                    is_word = end == len(label)
-                    path.append((child, child[0], end) if is_word else (child, anchor, start))
-                    continue
-                split = _common_prefix(w, label, depth + 1, end - 1)
-                child = (i, split, {label[split]: child})
-                kids[w[depth]] = child
-                depth, kids = split, child[2]
-                path.append((child, anchor, start))
-                break
-        leaf = (i, len(w), {})
-        kids[w[depth]] = leaf
-        nodes[w] = (i, leaf)
-        if hit is None:
-            path.append((leaf, i, len(w)))
-            prev = w
-        plan.append((anchor, w, start))
+    plan: list = [None] * len(words)
+    stack = [(-1, ())]  # (index, word): a root entry, then nested prefixes
+    for i in sorted(range(len(words)), key=words.__getitem__):
+        w = words[i]
+        while w[: len(stack[-1][1])] != stack[-1][1]:
+            stack.pop()
+        anchor, prefix = stack[-1]
+        plan[i] = (anchor, w, len(prefix))
+        if w:
+            stack.append((i, w))
     return tuple(plan)
 
 
@@ -295,8 +246,15 @@ def w_suite(p: Suite, alphabet: Alphabet, k: int, w: Suite) -> Suite:
 
 
 def prefix_close(t: Suite) -> Suite:
-    """Smallest prefix-closed superset of t."""
-    out: set[Word] = set()
+    """Smallest prefix-closed superset of t.
+
+    The set stays prefix-closed as it grows, so a word's prefixes are
+    added from the longest down, up to the first one already in it.
+    """
+    out: set[tuple[int, ...]] = set()
     for w in t:
-        out.update(w.prefixes())
-    return Suite(t.alphabet, tuple(out))
+        for n in range(len(w.syms), -1, -1):
+            if w.syms[:n] in out:
+                break
+            out.add(w.syms[:n])
+    return Suite(t.alphabet, tuple(map(Word, out)))

@@ -7,11 +7,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from wmethod import (
+    EPSILON,
     Alphabet,
     EquivResult,
     Fsm,
+    NotMinimalError,
     Rna,
+    Suite,
     Wa,
+    Word,
+    is_minimal,
     lang_value,
     patterns_upto,
     symbolic_run,
@@ -19,6 +24,7 @@ from wmethod import (
     words_upto,
 )
 from wmethod import nominal as N
+from wmethod.fsm import _run_from
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -174,3 +180,44 @@ def brute_force_equiv_rna(a: Rna, b: Rna, max_len: int) -> EquivResult:
         if symbolic_run(a, s)[1] != symbolic_run(b, s)[1]:
             return EquivResult(False, s)
     return EquivResult(True, None)
+
+
+def reference_char_set(m: Fsm) -> Suite:
+    """The greedy characterization set computed round by round: every round
+    re-sorts all extensions of the chosen words and runs each one from
+    every state. The reference for `wmethod.fsm.char_set`."""
+    if not is_minimal(m):
+        raise NotMinimalError(
+            "machine is not minimal; a characterization set cannot separate equivalent states"
+        )
+    states = list(range(m.n_states))
+    chosen: list[Word] = [EPSILON]
+
+    def partition(words: list[Word]) -> dict[int, tuple]:
+        return {q: tuple(m.signature(_run_from(m, q, v)) for v in words) for q in states}
+
+    part = partition(chosen)
+    while len(set(part.values())) < m.n_states:
+        candidates = sorted(
+            (Word((a,)) + v for a in range(len(m.alphabet)) for v in chosen),
+            key=lambda u: (len(u.syms), u.syms),
+        )
+        for cand in candidates:
+            if cand in chosen:
+                continue
+            # does cand split some current block?
+            split = False
+            groups: dict[tuple, object] = {}
+            for q in states:
+                sig = m.signature(_run_from(m, q, cand))
+                prev = groups.setdefault(part[q], sig)
+                if prev != sig:
+                    split = True
+                    break
+            if split:
+                chosen.append(cand)
+                part = partition(chosen)
+                break
+        else:
+            raise AssertionError("no splitting word found for a minimal machine")
+    return Suite(m.alphabet, tuple(chosen))

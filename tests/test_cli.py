@@ -52,10 +52,10 @@ def test_gen_prefix_closed(tmp_path):
     code, _ = run_cli("gen", "--k", "0", "--prefix-closed", "-o", str(suite), COFFEE)
     assert code == 0
     words = parse_suite(suite.read_text(), Alphabet(("c", "e", "1")))
-    members = set(words)
-    for w in words:
-        for p in w.prefixes():
-            assert p in members
+    members = {w.syms for w in words}
+    for w in members:
+        for n in range(len(w)):
+            assert w[:n] in members
 
 
 def test_gen_wa_contains_baab(tmp_path):

@@ -77,6 +77,13 @@ def test_bad_fixtures_rejected(name):
     assert err.value.message
 
 
+def test_repeated_alphabet_reports_second_line():
+    path = FIXTURES / "bad" / "wa_dup_alphabet.wa"
+    with pytest.raises(ParseError, match="duplicate alphabet directive") as err:
+        parse_machine(path.read_text(), str(path))
+    assert err.value.line == 7
+
+
 def test_missing_transition_message():
     text = (FIXTURES / "bad" / "fsm_missing_trans.aut").read_text()
     with pytest.raises(ParseError, match="missing transition"):

@@ -1,9 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_equiv, random_fsm, random_minimal_fsm
+from helpers import brute_force_equiv, random_fsm, random_minimal_fsm, reference_char_set
 from wmethod import (
     EPSILON,
     Alphabet,
@@ -119,6 +122,37 @@ def test_char_set_requires_minimal(coffee):
     )
     with pytest.raises(NotMinimalError):
         char_set(cloned)
+
+
+def _char_set_or_error(f, m):
+    try:
+        return f(m)
+    except NotMinimalError as e:
+        return str(e)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["dfa", "moore", "mealy"]), st.integers(1, 10))
+@settings(max_examples=300, deadline=None)
+def test_char_set_matches_reference(seed, kind, max_states):
+    # random machines, minimal or not, some with unreachable states
+    m = random_fsm(random.Random(seed), max_states=max_states, kind=kind)
+    assert _char_set_or_error(char_set, m) == _char_set_or_error(reference_char_set, m)
+
+
+def _chain(n):
+    """q -a-> q+1 mod n, b -> 0, one accepting state: W needs n-1 words."""
+    delta = tuple(((q + 1) % n, 0) for q in range(n))
+    return Fsm("dfa", Alphabet(("a", "b")), n, 0, delta, tuple(int(q == n - 1) for q in range(n)))
+
+
+def test_char_set_chain():
+    assert char_set(_chain(40)) == reference_char_set(_chain(40))
+    m = _chain(400)
+    t0 = time.perf_counter()
+    w = char_set(m)
+    assert time.perf_counter() - t0 < 1.0
+    assert w.contains_epsilon()
+    assert len(w) <= 400
 
 
 def test_is_char_set_agrees_with_brute_force_oracle():
