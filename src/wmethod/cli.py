@@ -27,6 +27,10 @@ class Usage(Exception):
     pass
 
 
+class Precondition(Exception):
+    pass
+
+
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -60,10 +64,14 @@ def cmd_gen(args, out) -> int:
     spec = fam.canonical(m, args.allow_nonminimal)
     if args.cover:
         p = fam.read_suite(_read(args.cover), spec, args.cover)
+        if not fam.is_cover(spec, p):
+            raise Precondition(f"{args.cover}: not a state cover of {args.spec}")
     else:
         p = fam.cover(spec)
     if args.charset:
         w = fam.read_suite(_read(args.charset), spec, args.charset)
+        if not fam.is_charset(spec, w):
+            raise Precondition(f"{args.charset}: not a characterization set of {args.spec}")
     else:
         w = fam.charset(spec)
     suite = fam.suite(p, args.k, w)
@@ -81,13 +89,13 @@ def cmd_gen(args, out) -> int:
 def cmd_run(args, out) -> int:
     spec, impl, fam = _load_pair(args.spec, args.impl)
     suite = fam.read_suite(_read(args.suite), spec, args.suite)
-    all_pass = True
-    for v in fam.agree(spec, impl, suite):
-        status = "PASS" if v.passed else "FAIL"
-        word = fam.render(v.word, spec)
-        print(f"{status} {word} {_render_out(v.spec_out)} {_render_out(v.impl_out)}", file=out)
-        all_pass = all_pass and v.passed
-    return EXIT_OK if all_pass else EXIT_FAIL
+    verdicts = fam.agree(spec, impl, suite)
+    out.write("".join(
+        f"{'PASS' if v.passed else 'FAIL'} {word} {_render_out(v.spec_out)} "
+        f"{_render_out(v.impl_out)}\n"
+        for word, v in zip(suite.lines(), verdicts)
+    ))
+    return EXIT_OK if all(v.passed for v in verdicts) else EXIT_FAIL
 
 
 def cmd_equiv(args, out) -> int:
@@ -196,7 +204,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args, out)
-    except NotMinimalError as e:
+    except (NotMinimalError, Precondition) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ParseError, Usage, ValueError) as e:

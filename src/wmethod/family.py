@@ -2,8 +2,8 @@
 
 Each family (FSMs, weighted automata, register automata) offers the
 same operations: a canonical form of a specification, its state cover
-and characterization set, the W suite, suite files, execution, the
-equivalence oracle, minimization and word rendering. `family_of` is the
+and characterization set and a check of each, the W suite, suite files,
+execution, the equivalence oracle, minimization and word rendering. `family_of` is the
 one place that maps a machine type to its family; the CLI and the
 completeness experiments go through it instead of branching on types.
 
@@ -19,6 +19,18 @@ from . import nominal as N
 from . import weighted as W
 from . import words as Wd
 from .words import NotMinimalError, Suite
+
+
+def _is_weak_cover(cover_map, m, p) -> bool:
+    """Does p hold the empty word, and does cover_map find for every
+    one-letter extension of p a word of p reaching the same state?"""
+    if not p.contains_epsilon():
+        return False
+    try:
+        cover_map(m, p)
+    except ValueError:  # an extension reaches a state that no word of p reaches
+        return False
+    return True
 
 
 class _WordFamily:
@@ -55,6 +67,12 @@ class _FsmFamily(_WordFamily):
 
     def charset(self, m: F.Fsm) -> Suite:
         return F.char_set(m)
+
+    def is_cover(self, m: F.Fsm, p: Suite) -> bool:
+        return _is_weak_cover(F.weak_cover_map, m, p)
+
+    def is_charset(self, m: F.Fsm, w: Suite) -> bool:
+        return w.contains_epsilon() and F.is_char_set(m, w)
 
     def values(self, m: F.Fsm, t: Suite) -> list:
         return F.suite_values(m, t)
@@ -99,6 +117,12 @@ class _WaFamily(_WordFamily):
             raise NotMinimalError("output vector is zero; no characterization set exists")
         return w
 
+    def is_cover(self, m: W.Wa, p: Suite) -> bool:
+        return W.is_state_cover_wa(m, p)
+
+    def is_charset(self, m: W.Wa, w: Suite) -> bool:
+        return W.is_char_set_wa(m, w)
+
     def values(self, m: W.Wa, t: Suite) -> list:
         return W.suite_values_wa(m, t)
 
@@ -130,6 +154,12 @@ class _RnaFamily:
 
     def charset(self, m: N.Rna) -> N.OrbitSuite:
         return N.char_set_rna(m)
+
+    def is_cover(self, m: N.Rna, p: N.OrbitSuite) -> bool:
+        return _is_weak_cover(N.weak_cover_map_rna, m, p)
+
+    def is_charset(self, m: N.Rna, w: N.OrbitSuite) -> bool:
+        return w.contains_epsilon() and N.is_char_set_rna(m, w)
 
     def suite(self, p: N.OrbitSuite, k: int, w: N.OrbitSuite) -> N.OrbitSuite:
         return N.w_suite_rna(p, k, w)

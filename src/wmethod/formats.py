@@ -14,7 +14,7 @@ from fractions import Fraction
 from .fsm import Fsm
 from .nominal import EPS_PATTERN, OrbitSuite, Rna, SymbolicWord, X_SOURCE
 from .weighted import Wa
-from .words import EPS_TOKEN, Alphabet, Suite, Word
+from .words import EPS_TOKEN, EPSILON, Alphabet, Suite
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -31,10 +31,9 @@ class ParseError(Exception):
 
 def _directives(text: str):
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield no, line.split()
+        toks = raw.split()
+        if toks and not toks[0].startswith("#"):
+            yield no, toks
 
 
 def parse_machine(text: str, filename: str = "<string>") -> Fsm | Wa | Rna:
@@ -418,34 +417,41 @@ def _serialize_rna(m: Rna) -> str:
 
 def serialize_suite(t: Suite | OrbitSuite) -> str:
     """One word (or pattern) per line, `-eps-` for the empty one."""
-    if isinstance(t, Suite):
-        return "".join(w.render(t.alphabet) + "\n" for w in t)
-    if isinstance(t, OrbitSuite):
-        return "".join(s.render() + "\n" for s in t)
-    raise TypeError(f"cannot serialize {type(t).__name__}")
+    if not isinstance(t, (Suite, OrbitSuite)):
+        raise TypeError(f"cannot serialize {type(t).__name__}")
+    return "".join(line + "\n" for line in t.lines())
 
 
 def parse_suite(text: str, alphabet: Alphabet, filename: str = "<string>") -> Suite:
-    words = []
+    """A word suite file: one word per line, its symbols named by the alphabet.
+
+    Each line is read once. A file already in canonical order is taken
+    as it is, its normalized lines kept as the words' renderings; any
+    other file is deduplicated and sorted.
+    """
+    words, lines = [], []
     for no, toks in _directives(text):
         if toks == [EPS_TOKEN]:
-            words.append(Word(()))
+            words.append(EPSILON)
+            lines.append(EPS_TOKEN)
             continue
         try:
             words.append(alphabet.word(*toks))
         except ValueError as e:
             raise ParseError(filename, no, str(e)) from e
-    return Suite(alphabet, tuple(words))
+        lines.append(" ".join(toks))
+    return Suite.from_lines(alphabet, words, lines)
 
 
 def parse_patterns(text: str, filename: str = "<string>") -> OrbitSuite:
+    """A pattern suite file: one orbit pattern per line, as class numbers."""
     pats = []
     for no, toks in _directives(text):
         if toks == [EPS_TOKEN]:
             pats.append(EPS_PATTERN)
             continue
         try:
-            classes = tuple(int(t) for t in toks)
+            classes = tuple(map(int, toks))
         except ValueError:
             raise ParseError(filename, no, f"pattern classes must be integers: {toks}") from None
         try:

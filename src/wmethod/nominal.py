@@ -17,10 +17,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from typing import Iterator, Mapping, Sequence
 
-from .words import EquivResult, NotMinimalError, Plan, Verdict, execute, prefix_plan
+from .words import (
+    EPS_TOKEN,
+    EquivResult,
+    NotMinimalError,
+    Plan,
+    Verdict,
+    canonical,
+    execute,
+    prefix_plan,
+)
 
 Atom = int
 
@@ -60,6 +69,13 @@ class SymbolicWord:
             pat.append(relabel[x])
         return cls(tuple(pat))
 
+    @classmethod
+    def _trusted(cls, pattern: tuple[int, ...]) -> "SymbolicWord":
+        """A pattern canonical by construction, taken without checking."""
+        s = cls.__new__(cls)
+        object.__setattr__(s, "pattern", pattern)
+        return s
+
     @property
     def num_classes(self) -> int:
         return max(self.pattern, default=0)
@@ -71,7 +87,7 @@ class SymbolicWord:
         return (len(self.pattern), self.pattern) < (len(other.pattern), other.pattern)
 
     def render(self) -> str:
-        return " ".join(str(c) for c in self.pattern) if self.pattern else "-eps-"
+        return " ".join(map(str, self.pattern)) if self.pattern else EPS_TOKEN
 
 
 EPS_PATTERN = SymbolicWord(())
@@ -84,8 +100,8 @@ class OrbitSuite:
     patterns: tuple[SymbolicWord, ...] = ()
 
     def __post_init__(self):
-        canon = sorted(set(self.patterns), key=lambda s: (len(s.pattern), s.pattern))
-        object.__setattr__(self, "patterns", tuple(canon))
+        pats = tuple(self.patterns)
+        object.__setattr__(self, "patterns", canonical(pats, [s.pattern for s in pats]))
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -107,6 +123,10 @@ class OrbitSuite:
     def plan(self) -> Plan:
         """The prefix-sharing execution plan of the canonical instances."""
         return prefix_plan([s.pattern for s in self.patterns])
+
+    def lines(self) -> Iterator[str]:
+        """The rendering of every pattern, in suite order: one suite-file line each."""
+        return (s.render() for s in self.patterns)
 
 
 @dataclass(frozen=True)
@@ -238,22 +258,37 @@ def _injective_merges(m: int, n: int) -> Iterator[dict[int, int]]:
                 yield dict(zip(sub, img))
 
 
+def _merged_tails(m: int, v: SymbolicWord) -> Iterator[tuple[int, ...]]:
+    """v relabelled to follow a pattern with m classes, once per injective
+    merge of its classes into those m.
+
+    The classes of v left unmerged get m+1, m+2, ... in ascending order.
+    v is canonical, so that is their first-occurrence order, and the
+    tail appended to any canonical pattern with m classes is canonical.
+    """
+    n = v.num_classes
+    for merge in _injective_merges(m, n):
+        fresh = count(m + 1)
+        label = [0] + [merge[c] if c in merge else next(fresh) for c in range(1, n + 1)]
+        yield tuple(map(label.__getitem__, v.pattern))
+
+
 def concat_orbit(a: OrbitSuite, b: OrbitSuite) -> OrbitSuite:
     """Orbit decomposition of {uv | u in a, v in b}.
 
     Concatenating two orbits does not give one orbit: every way of
     identifying classes of the second word with classes of the first
-    (injectively, possibly not at all) yields a distinct orbit.
+    (injectively, possibly not at all) yields a distinct orbit. The
+    relabelled tails depend on u only through its number of classes.
     """
-    out: set[SymbolicWord] = set()
+    out: set[tuple[int, ...]] = set()
+    tails: dict[int, list[tuple[int, ...]]] = {}
     for u in a:
         m = u.num_classes
-        for v in b:
-            n = v.num_classes
-            for merge in _injective_merges(m, n):
-                tail = tuple(merge.get(c, m + c) for c in v.pattern)
-                out.add(SymbolicWord.from_atoms(u.pattern + tail))
-    return OrbitSuite(tuple(out))
+        if m not in tails:
+            tails[m] = [t for v in b for t in _merged_tails(m, v)]
+        out.update(map(u.pattern.__add__, tails[m]))
+    return OrbitSuite(tuple(map(SymbolicWord._trusted, out)))
 
 
 def patterns_upto(k: int) -> OrbitSuite:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 EPS_TOKEN = "-eps-"
@@ -75,10 +77,31 @@ class Word:
     def render(self, alphabet: Alphabet) -> str:
         if not self.syms:
             return EPS_TOKEN
-        return " ".join(alphabet.symbols[i] for i in self.syms)
+        return " ".join(map(alphabet.symbols.__getitem__, self.syms))
 
 
 EPSILON = Word(())
+
+
+def canonical(items: tuple, seqs: Sequence[tuple]) -> tuple:
+    """The items deduplicated and in canonical order; seqs[i] holds the
+    symbols of items[i], and equal symbols mean equal items.
+
+    One linear scan checks whether the (length, symbols) keys strictly
+    increase. Then the items are already canonical and distinct, and the
+    same tuple is returned; otherwise they are deduplicated and sorted,
+    lexicographically and then stably by length.
+    """
+    keys = zip(map(len, seqs), seqs)
+    later = zip(map(len, seqs), seqs)
+    next(later, None)  # so that each key meets the next one
+    if all(map(lt, keys, later)):
+        return items
+    by_seq = dict(zip(seqs, items))
+    order = sorted(by_seq)
+    order.sort(key=len)
+    return tuple(map(by_seq.__getitem__, order))
+
 
 # One entry per word: (index of the longest earlier word that is a proper
 # prefix of it, or -1 for the root; the word's symbols; that prefix's length).
@@ -139,15 +162,35 @@ class Suite:
 
     alphabet: Alphabet
     words: tuple[Word, ...] = field(default=())
+    _texts = None  # the lines of the canonical file the suite was read from, if it was
 
     def __post_init__(self):
-        n = len(self.alphabet)
-        for w in self.words:
-            for s in w.syms:
-                if not 0 <= s < n:
-                    raise ValueError(f"symbol index {s} out of range for alphabet of size {n}")
-        canon = sorted(set(self.words), key=lambda w: (len(w.syms), w.syms))
-        object.__setattr__(self, "words", tuple(canon))
+        words = tuple(self.words)
+        seqs = [w.syms for w in words]
+        valid = range(len(self.alphabet))
+        if not set(chain.from_iterable(seqs)).issubset(valid):
+            bad = next(s for syms in seqs for s in syms if s not in valid)
+            raise ValueError(f"symbol index {bad} out of range for alphabet of size {len(valid)}")
+        object.__setattr__(self, "words", canonical(words, seqs))
+
+    @classmethod
+    def from_lines(cls, alphabet: Alphabet, words: Sequence[Word], lines: Sequence[str]) -> "Suite":
+        """The suite of words read from text, one word per line.
+
+        Every symbol was looked up by name in the alphabet, so the range
+        check is not repeated. lines[i] is the text of words[i], its
+        tokens joined by single spaces (`-eps-` for the empty word), and
+        so its rendering. When the words came in canonical order, these
+        texts are kept and become `lines()`, so nothing renders them again.
+        """
+        t = cls.__new__(cls)
+        object.__setattr__(t, "alphabet", alphabet)
+        words = tuple(words)
+        canon = canonical(words, [w.syms for w in words])
+        object.__setattr__(t, "words", canon)
+        if canon is words:
+            object.__setattr__(t, "_texts", tuple(lines))
+        return t
 
     @classmethod
     def of(cls, alphabet: Alphabet, words: Iterable[Word | tuple[int, ...]]) -> "Suite":
@@ -177,6 +220,12 @@ class Suite:
     def plan(self) -> Plan:
         """The prefix-sharing execution plan of the words (see `prefix_plan`)."""
         return prefix_plan([w.syms for w in self.words])
+
+    def lines(self) -> Iterable[str]:
+        """The rendering of every word, in suite order: one suite-file line each."""
+        if self._texts is not None:
+            return self._texts
+        return (w.render(self.alphabet) for w in self.words)
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,20 @@ def random_minimal_rna(rng: random.Random, max_locs=3, max_arity=1) -> Rna:
             return m
 
 
+def reference_concat_orbit(a: N.OrbitSuite, b: N.OrbitSuite) -> N.OrbitSuite:
+    """Orbit concatenation that renumbers every merged word by first
+    occurrence with `SymbolicWord.from_atoms`. The reference for
+    `wmethod.nominal.concat_orbit`, which numbers the classes directly."""
+    out = set()
+    for u in a:
+        m = u.num_classes
+        for v in b:
+            for merge in N._injective_merges(m, v.num_classes):
+                tail = tuple(merge.get(c, m + c) for c in v.pattern)
+                out.add(N.SymbolicWord.from_atoms(u.pattern + tail))
+    return N.OrbitSuite(tuple(out))
+
+
 def fraction_rank(vectors) -> int:
     """Rank by Gaussian elimination over Fractions: the reference for the
     integer elimination in `wmethod.weighted`."""

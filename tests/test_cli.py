@@ -179,6 +179,49 @@ def test_rna_gen_and_run(tmp_path):
     assert code == 0
 
 
+RUN_PAIRS = [(COFFEE, I1), (WA, WA_BAD), (RNA, str(FIXTURES / "same_twice_boundary.rna"))]
+
+
+def _hand_written(lines: list[str]) -> dict[str, str]:
+    """Variants of a canonical suite file that must read as the same suite."""
+    return {
+        "reversed": "\n".join(reversed(lines)) + "\n",
+        "duplicated": "\n".join(lines + lines[::2]) + "\n",
+        "spacing": "".join("\t " + line.replace(" ", "  \t") + "  \n" for line in lines),
+        "comments": "# hand-written\n\n" + "".join(f"{line}\n# after {line}\n\n" for line in lines),
+    }
+
+
+@pytest.mark.parametrize("spec, impl", RUN_PAIRS)
+def test_run_ignores_order_duplicates_spacing_and_comments(tmp_path, spec, impl):
+    suite = tmp_path / "canonical.suite"
+    assert run_cli("gen", "--k", "1", "-o", str(suite), spec)[0] == 0
+    expected = run_cli("run", spec, impl, str(suite))
+    for name, text in _hand_written(suite.read_text().splitlines()).items():
+        variant = tmp_path / f"{name}.suite"
+        variant.write_text(text)
+        assert run_cli("run", spec, impl, str(variant)) == expected, name
+
+
+@pytest.mark.parametrize("option", ["--cover", "--charset"])
+@pytest.mark.parametrize("spec", [COFFEE, WA, RNA])
+def test_gen_checks_user_cover_and_charset(tmp_path, capsys, option, spec):
+    # with only the empty word as P or W, the coffee suite would pass
+    # coffee_i1.aut, which `equiv` separates from coffee.aut on `1 1 c e`
+    eps_only = tmp_path / "eps.suite"
+    eps_only.write_text("-eps-\n")
+    code, out = run_cli("gen", option, str(eps_only), "-o", str(tmp_path / "s.suite"), spec)
+    assert (code, out) == (3, "")
+    assert str(eps_only) in capsys.readouterr().err
+    assert not (tmp_path / "s.suite").exists()
+    # the computed set, given back as a file, is accepted and changes nothing
+    given = tmp_path / "given.suite"
+    given.write_text(run_cli(option[2:], spec)[1])
+    assert run_cli("gen", option, str(given), "-o", str(tmp_path / "a.suite"), spec)[0] == 0
+    assert run_cli("gen", "-o", str(tmp_path / "b.suite"), spec)[0] == 0
+    assert (tmp_path / "a.suite").read_text() == (tmp_path / "b.suite").read_text()
+
+
 EPS_PAIRS = {
     "dfa": (
         "kind dfa\nalphabet a\nstates 1\ninitial 0\naccepting 0\ntrans 0 a 0\n",

@@ -112,6 +112,24 @@ def test_suite_parse_epsilon_and_comments():
         parse_suite("a z\n", ab)
 
 
+def test_suite_unknown_symbol_reports_its_line():
+    ab = Alphabet(("a", "b"))
+    text = "# suite\n-eps-\n\nb a\n a\tb  \nb z a\na\n"
+    with pytest.raises(ParseError) as err:
+        parse_suite(text, ab, "t.suite")
+    assert (err.value.file, err.value.line) == ("t.suite", 6)
+    assert err.value.message == "symbol 'z' not in alphabet ('a', 'b')"
+
+
+def test_suite_file_order_and_spacing_do_not_matter():
+    ab = Alphabet(("a", "b"))
+    canonical = "-eps-\na\nb\na b\nb b a\n"
+    messy = "# hand-written\n\tb  b a\n\na b\n-eps-\nb\na b\n  a\n"
+    assert parse_suite(messy, ab) == parse_suite(canonical, ab)
+    assert serialize_suite(parse_suite(messy, ab)) == canonical
+    assert serialize_suite(parse_suite(canonical, ab)) == canonical
+
+
 def test_pattern_round_trip():
     s = OrbitSuite((EPS_PATTERN, SymbolicWord((1, 1)), SymbolicWord((1, 2))))
     text = serialize_suite(s)
@@ -124,6 +142,9 @@ def test_pattern_parse_errors():
         parse_patterns("1 x\n")
     with pytest.raises(ParseError, match="canonical"):
         parse_patterns("2 1\n")
+    with pytest.raises(ParseError, match="canonical") as err:
+        parse_patterns("-eps-\n# c\n1 2\n1 3\n")
+    assert err.value.line == 4
 
 
 def test_serialize_machine_is_canonical(coffee):

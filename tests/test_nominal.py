@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_equiv_rna, random_rna
+from helpers import brute_force_equiv_rna, random_rna, reference_concat_orbit
 from wmethod import (
     EPS_PATTERN,
     NotMinimalError,
@@ -109,6 +111,8 @@ def test_pattern_canonicalization():
         SymbolicWord((2, 1))
     with pytest.raises(ValueError):
         SymbolicWord((1, 3))
+    with pytest.raises(ValueError, match="not canonical"):
+        SymbolicWord((1, 2, 4, 3))
 
 
 def test_concat_orbit_examples():
@@ -120,6 +124,19 @@ def test_concat_orbit_examples():
     assert concat_orbit(some, eps) == some
     dbl = OrbitSuite((P_((1, 1)),))
     assert [s.pattern for s in concat_orbit(dbl, one)] == [(1, 1, 1), (1, 1, 2)]
+
+
+patterns_st = st.lists(st.integers(0, 4), max_size=5).map(SymbolicWord.from_atoms)
+orbit_suites_st = st.lists(patterns_st, max_size=5).map(lambda ps: OrbitSuite(tuple(ps)))
+
+
+@given(orbit_suites_st, orbit_suites_st)
+@settings(max_examples=80)
+def test_concat_orbit_matches_from_atoms_reference(a, b):
+    got = concat_orbit(a, b)
+    assert got == reference_concat_orbit(a, b)
+    for s in got:  # every pattern passes the check it was built without
+        assert SymbolicWord(s.pattern) == s
 
 
 def test_concat_orbit_is_exact_orbit_decomposition():

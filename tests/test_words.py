@@ -127,8 +127,11 @@ def test_suite_canonical_order_and_dedup():
 
 
 def test_suite_rejects_out_of_range_symbols():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symbol index 5 out of range for alphabet of size 2"):
         Suite.of(AB2, [Word((5,))])
+    # the first bad index in the given order is named
+    with pytest.raises(ValueError, match="symbol index -1 out of range"):
+        Suite.of(AB2, [Word((1, 0)), Word((0, -1)), Word((7,))])
 
 
 def test_verdict_consistency():
@@ -140,6 +143,14 @@ def test_verdict_consistency():
 
 words_st = st.lists(st.integers(0, 1), max_size=4).map(lambda s: Word(tuple(s)))
 suites_st = st.lists(words_st, max_size=5).map(lambda ws: Suite.of(AB2, ws))
+
+
+@given(st.lists(words_st, max_size=8))
+@settings(max_examples=80)
+def test_suite_order_matches_sorted_reference(words):
+    expected = sorted(set(words), key=lambda w: (len(w.syms), w.syms))
+    assert list(Suite.of(AB2, words)) == expected
+    assert list(Suite.of(AB2, expected)) == expected
 
 
 @given(suites_st, suites_st, suites_st)
