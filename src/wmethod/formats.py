@@ -440,7 +440,7 @@ def parse_suite(text: str, alphabet: Alphabet, filename: str = "<string>") -> Su
         except ValueError as e:
             raise ParseError(filename, no, str(e)) from e
         lines.append(" ".join(toks))
-    return Suite.from_lines(alphabet, words, lines)
+    return Suite(alphabet, tuple(words), tuple(lines))
 
 
 def parse_patterns(text: str, filename: str = "<string>") -> OrbitSuite:

@@ -162,7 +162,10 @@ class Suite:
 
     alphabet: Alphabet
     words: tuple[Word, ...] = field(default=())
-    _texts = None  # the lines of the canonical file the suite was read from, if it was
+    # Optional: the suite-file line of each word, as read. Kept only when
+    # the words came in canonical order, so that lines() need not render
+    # them again.
+    texts: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         words = tuple(self.words)
@@ -171,26 +174,10 @@ class Suite:
         if not set(chain.from_iterable(seqs)).issubset(valid):
             bad = next(s for syms in seqs for s in syms if s not in valid)
             raise ValueError(f"symbol index {bad} out of range for alphabet of size {len(valid)}")
-        object.__setattr__(self, "words", canonical(words, seqs))
-
-    @classmethod
-    def from_lines(cls, alphabet: Alphabet, words: Sequence[Word], lines: Sequence[str]) -> "Suite":
-        """The suite of words read from text, one word per line.
-
-        Every symbol was looked up by name in the alphabet, so the range
-        check is not repeated. lines[i] is the text of words[i], its
-        tokens joined by single spaces (`-eps-` for the empty word), and
-        so its rendering. When the words came in canonical order, these
-        texts are kept and become `lines()`, so nothing renders them again.
-        """
-        t = cls.__new__(cls)
-        object.__setattr__(t, "alphabet", alphabet)
-        words = tuple(words)
-        canon = canonical(words, [w.syms for w in words])
-        object.__setattr__(t, "words", canon)
-        if canon is words:
-            object.__setattr__(t, "_texts", tuple(lines))
-        return t
+        canon = canonical(words, seqs)
+        object.__setattr__(self, "words", canon)
+        if canon is not words:
+            object.__setattr__(self, "texts", None)
 
     @classmethod
     def of(cls, alphabet: Alphabet, words: Iterable[Word | tuple[int, ...]]) -> "Suite":
@@ -223,8 +210,8 @@ class Suite:
 
     def lines(self) -> Iterable[str]:
         """The rendering of every word, in suite order: one suite-file line each."""
-        if self._texts is not None:
-            return self._texts
+        if self.texts is not None:
+            return self.texts
         return (w.render(self.alphabet) for w in self.words)
 
 

@@ -134,6 +134,16 @@ def test_suite_rejects_out_of_range_symbols():
         Suite.of(AB2, [Word((1, 0)), Word((0, -1)), Word((7,))])
 
 
+def test_suite_keeps_texts_only_in_canonical_order():
+    words = (EPSILON, Word((0,)), Word((1, 0)))
+    kept = Suite(AB2, words, ("given eps", "given a", "given b a"))
+    assert list(kept.lines()) == ["given eps", "given a", "given b a"]
+    assert kept == Suite(AB2, words)
+    resorted = Suite(AB2, words[::-1], ("given b a", "given a", "given eps"))
+    assert resorted.texts is None
+    assert list(resorted.lines()) == ["-eps-", "a", "b a"]
+
+
 def test_verdict_consistency():
     with pytest.raises(ValueError):
         Verdict(EPSILON, 1, 0, True)
