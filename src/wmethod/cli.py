@@ -61,19 +61,15 @@ def _render_out(v) -> str:
 def cmd_gen(args, out) -> int:
     m = _load(args.spec)
     fam = family_of(m)
-    spec = fam.canonical(m, args.allow_nonminimal)
+    spec, p, w = fam.analyze(m, args.allow_nonminimal)
     if args.cover:
         p = fam.read_suite(_read(args.cover), spec, args.cover)
         if not fam.is_cover(spec, p):
             raise Precondition(f"{args.cover}: not a state cover of {args.spec}")
-    else:
-        p = fam.cover(spec)
     if args.charset:
         w = fam.read_suite(_read(args.charset), spec, args.charset)
         if not fam.is_charset(spec, w):
             raise Precondition(f"{args.charset}: not a characterization set of {args.spec}")
-    else:
-        w = fam.charset(spec)
     suite = fam.suite(p, args.k, w)
     if args.prefix_closed:
         suite = fam.prefix_close(suite)

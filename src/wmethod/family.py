@@ -1,8 +1,9 @@
 """The three machine families behind one set of operations.
 
 Each family (FSMs, weighted automata, register automata) offers the
-same operations: a canonical form of a specification, its state cover
-and characterization set and a check of each, the W suite, suite files,
+same operations: the analysis of a specification (its state cover and
+characterization set, whose walks also decide that it is canonical),
+each of the two alone and a check of each, the W suite, suite files,
 execution, the equivalence oracle, minimization and word rendering. `family_of` is the
 one place that maps a machine type to its family; the CLI and the
 completeness experiments go through it instead of branching on types.
@@ -36,6 +37,20 @@ def _is_weak_cover(cover_map, m, p) -> bool:
 class _WordFamily:
     """Operations shared by the families whose suites are words over an alphabet."""
 
+    def analyze(self, m, allow: bool) -> tuple:
+        """(spec, P, W): m with its state cover and characterization set.
+        The walks that build them raise NotMinimalError on an unreachable
+        or non-minimal m; if allowed, its minimization is analyzed instead."""
+        try:
+            return self._analyze(m)
+        except NotMinimalError:
+            if not allow:
+                raise
+        return self._analyze(self.minimize(m))
+
+    def _analyze(self, m) -> tuple:
+        return m, self.cover(m), self.charset(m)
+
     def read_suite(self, text: str, m, filename: str) -> Suite:
         return Fm.parse_suite(text, m.alphabet, filename)
 
@@ -51,16 +66,6 @@ class _WordFamily:
 
 class _FsmFamily(_WordFamily):
     name = "fsm"
-
-    def canonical(self, m: F.Fsm, allow: bool) -> F.Fsm:
-        """m if it is reachable and minimal; otherwise its minimization if
-        allowed, else NotMinimalError."""
-        mm = F.minimize(m)
-        if mm.n_states == m.n_states:
-            return m
-        if allow:
-            return mm
-        raise NotMinimalError("specification has unreachable or equivalent states; minimize first")
 
     def cover(self, m: F.Fsm) -> Suite:
         return F.state_cover(m)
@@ -90,17 +95,13 @@ class _FsmFamily(_WordFamily):
 class _WaFamily(_WordFamily):
     name = "wa"
 
-    def canonical(self, m: W.Wa, allow: bool) -> W.Wa:
-        rank = W.forward_basis(m).rank
-        if W.is_minimal_wa(m) and rank == m.dim:
-            return m
-        if allow:
-            return self.minimize(m)
-        if rank < m.dim:
+    def _analyze(self, m: W.Wa) -> tuple:
+        spec, p, w = super()._analyze(m)
+        if len(w) < m.dim:
             raise NotMinimalError(
-                f"state space not reachable (rank {rank} < dim {m.dim}); minimize first"
+                f"observation space not full (rank {len(w)} < dim {m.dim}); minimize first"
             )
-        raise NotMinimalError("specification is not minimal; minimize first")
+        return spec, p, w
 
     def cover(self, m: W.Wa) -> Suite:
         fb = W.forward_basis(m)
@@ -142,12 +143,10 @@ class _WaFamily(_WordFamily):
 class _RnaFamily:
     name = "rna"
 
-    def canonical(self, m: N.Rna, allow: bool) -> N.Rna:
-        if N.is_minimal_rna(m):
-            return m
-        raise NotMinimalError(
-            "specification is not minimal (no minimizer exists for rna machines)"
-        )
+    def analyze(self, m: N.Rna, allow: bool) -> tuple:
+        """(m, P, W); char_set_rna raises NotMinimalError at the first
+        equivalent state pair. No minimizer exists, so allow is ignored."""
+        return m, self.cover(m), self.charset(m)
 
     def cover(self, m: N.Rna) -> N.OrbitSuite:
         return N.state_cover_rna(m)

@@ -273,9 +273,8 @@ def completeness_experiment(spec, k: int, ms: MutationSpec) -> ExperimentReport:
     fam = family_of(spec)
     if ms.family != fam.name:
         raise ValueError("mutation spec family does not match the specification")
-    fam.canonical(spec, False)
-    p = fam.cover(spec)
-    suite = fam.suite(p, k, fam.charset(spec))
+    _, p, w = fam.analyze(spec, False)
+    suite = fam.suite(p, k, w)
     expected = fam.values(spec, suite)
     results = []
     for idx, (mut, in_domain) in enumerate(_mutants(spec, k, ms, p)):

@@ -199,12 +199,6 @@ class Rna:
     def loc_name(self, loc: int) -> str:
         return self.locations[loc][0]
 
-    def loc_index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.locations):
-            if n == name:
-                return i
-        raise ValueError(f"unknown location {name!r}")
-
 
 State = tuple[int, tuple[Atom, ...]]
 
@@ -418,6 +412,8 @@ def weak_cover_map_rna(
 
 def w_suite_rna(p: OrbitSuite, k: int, w: OrbitSuite) -> OrbitSuite:
     """Orbit version of the W test suite: P . A^{<=k+1} . W."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if not p.contains_epsilon():
         raise ValueError("P must contain the empty pattern")
     if not w.contains_epsilon():

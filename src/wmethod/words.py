@@ -77,7 +77,8 @@ class Word:
     def render(self, alphabet: Alphabet) -> str:
         if not self.syms:
             return EPS_TOKEN
-        return " ".join(map(alphabet.symbols.__getitem__, self.syms))
+        symbols = alphabet.symbols
+        return " ".join([symbols[i] for i in self.syms])
 
 
 EPSILON = Word(())
@@ -272,6 +273,8 @@ def w_suite(p: Suite, alphabet: Alphabet, k: int, w: Suite) -> Suite:
     Both P and W must contain the empty word; a state cover and a
     characterization set always do.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if len(p) == 0 or len(w) == 0:
         raise ValueError("P and W must be nonempty")
     if not p.contains_epsilon():

@@ -6,6 +6,9 @@ from helpers import FIXTURES
 from wmethod.cli import main
 from wmethod.formats import parse_machine, parse_suite
 from wmethod import Alphabet, equiv
+from wmethod import fsm as fsm_module
+from wmethod import nominal as nominal_module
+from wmethod import weighted as weighted_module
 
 
 def run_cli(*argv):
@@ -247,9 +250,10 @@ def test_equiv_prints_empty_counterexample(tmp_path, family):
     assert (code, out) == (1, "inequivalent -eps-\n")
 
 
-# Precondition matrix: a DFA and a WA with an unreachable state, and an RNA
-# whose location ignores its register (not minimal), against every
-# subcommand that takes a single specification.
+# Precondition matrix: a DFA and a WA with an unreachable state, a
+# reachable WA whose two states are observed alike (not minimal), and an
+# RNA whose location ignores its register (not minimal), against every
+# subcommand that takes a single specification. Exit 3 names the defect.
 DEFECTIVE = {
     "dfa": (
         "kind dfa\nalphabet a\nstates 3\ninitial 0\naccepting 1\n"
@@ -258,6 +262,10 @@ DEFECTIVE = {
     "wa": (
         "kind wa\nalphabet a\ndim 2\ninit 0 1\nfinal 0 1\nfinal 1 1\n"
         "trans 0 a 0 1\ntrans 1 a 1 2\n"
+    ),
+    "wa-unobservable": (
+        "kind wa\nalphabet a\ndim 2\ninit 0 1\n"
+        "trans 0 a 1 1\ntrans 1 a 0 1\nfinal 0 1\nfinal 1 1\n"
     ),
     "rna": (
         "kind rna\nloc q0 0\nloc junk 1\ninitial q0\naccepting junk\n"
@@ -269,6 +277,13 @@ EXPECTED_EXIT = {
     "dfa": (3, 3, 0, 3, 0),
     "wa": (3, 3, 0, 3, 0),
     "rna": (3, 0, 3, 3, 2),
+    "wa-unobservable": (3, 0, 0, 3, 0),
+}
+DEFECT_WORDING = {
+    "dfa": "state 2 is unreachable",
+    "wa": "not spanned from the initial vector (rank 1 < dim 2)",
+    "rna": "machine is not minimal",
+    "wa-unobservable": "observation space not full (rank 1 < dim 2)",
 }
 
 
@@ -276,7 +291,7 @@ EXPECTED_EXIT = {
     "machine, command",
     [(m, c) for m in sorted(DEFECTIVE) for c in SUBCOMMANDS],
 )
-def test_precondition_matrix(tmp_path, machine, command):
+def test_precondition_matrix(tmp_path, capsys, machine, command):
     spec = tmp_path / "spec.m"
     spec.write_text(DEFECTIVE[machine])
     argv = {
@@ -285,3 +300,68 @@ def test_precondition_matrix(tmp_path, machine, command):
     }.get(command, [command])
     code, _ = run_cli(*argv, str(spec))
     assert code == EXPECTED_EXIT[machine][SUBCOMMANDS.index(command)]
+    if code == 3:
+        assert DEFECT_WORDING[machine] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("machine", ["dfa", "wa", "wa-unobservable"])
+def test_allow_nonminimal_generates_from_the_minimization(tmp_path, machine):
+    spec, minimized = tmp_path / "spec.m", tmp_path / "min.m"
+    spec.write_text(DEFECTIVE[machine])
+    assert run_cli("minimize", "-o", str(minimized), str(spec))[0] == 0
+    allowed, direct = tmp_path / "allowed.txt", tmp_path / "direct.txt"
+    assert run_cli("gen", "--k", "1", "--allow-nonminimal", "-o", str(allowed), str(spec))[0] == 0
+    assert run_cli("gen", "--k", "1", "-o", str(direct), str(minimized))[0] == 0
+    assert allowed.read_text() == direct.read_text()
+
+
+@pytest.mark.parametrize("spec", ["coffee.aut", "binary_value.wa", "same_twice.rna"])
+@pytest.mark.parametrize("command", ["gen", "faultsim"])
+def test_negative_k_is_a_usage_error(tmp_path, capsys, spec, command):
+    out = ["-o", str(tmp_path / "suite.txt")] if command == "gen" else []
+    code, _ = run_cli(command, "--k", "-1", *out, str(FIXTURES / spec))
+    assert code == 2
+    assert "k must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "suite.txt").exists()
+
+
+def _count_calls(monkeypatch, module, names):
+    """Wrap module.<name> for every name so that calls through the module
+    attribute are counted; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+# Per command on a canonical specification, one walk per concept: the
+# walks that build P and W also decide canonicity, with no pre-pass.
+ANALYSIS_CALLS = {
+    ("coffee.aut", "gen"): (fsm_module, {"minimize": 0, "_refine_partition": 0}),
+    ("coffee.aut", "faultsim"): (fsm_module, {"minimize": 0, "_refine_partition": 1}),
+    ("binary_value.wa", "gen"): (weighted_module, {"forward_basis": 1, "backward_basis": 1}),
+    ("binary_value.wa", "faultsim"): (
+        weighted_module, {"forward_basis": 1, "backward_basis": 1}
+    ),
+    ("same_twice.rna", "gen"): (nominal_module, {"_pair_configs": 1, "is_minimal_rna": 0}),
+    ("same_twice.rna", "faultsim"): (
+        nominal_module, {"_pair_configs": 1, "is_minimal_rna": 0}
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, command", sorted(ANALYSIS_CALLS))
+def test_one_analysis_per_specification(tmp_path, monkeypatch, spec, command):
+    module, expected = ANALYSIS_CALLS[spec, command]
+    counts = _count_calls(monkeypatch, module, expected)
+    argv = {
+        "gen": ["gen", "--k", "1", "-o", str(tmp_path / "suite.txt")],
+        "faultsim": ["faultsim", "--k", "0", "--mutants", "10"],
+    }[command]
+    code, _ = run_cli(*argv, str(FIXTURES / spec))
+    assert code == 0
+    assert counts == expected
