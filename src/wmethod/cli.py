@@ -37,6 +37,16 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise Usage(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise Usage(f"cannot read {path}: not UTF-8 text") from e
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise Usage(f"cannot write {path}: {e.strerror}") from e
 
 
 def _load(path: str):
@@ -73,8 +83,7 @@ def cmd_gen(args, out) -> int:
     suite = fam.suite(p, args.k, w)
     if args.prefix_closed:
         suite = fam.prefix_close(suite)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(serialize_suite(suite))
+    _write(args.output, serialize_suite(suite))
     if not args.quiet:
         print(f"|P| = {len(p)}", file=out)
         print(f"|W| = {len(w)}", file=out)
@@ -108,8 +117,7 @@ def cmd_minimize(args, out) -> int:
     m = _load(args.machine)
     text = serialize_machine(family_of(m).minimize(m))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         out.write(text)
     return EXIT_OK

@@ -309,10 +309,7 @@ def agree_on(spec: Fsm, impl: Fsm, t: Suite) -> list[Verdict]:
     _check_compatible(spec, impl)
     if t.alphabet != spec.alphabet:
         raise ValueError("suite alphabet differs from the machines' alphabet")
-    return [
-        Verdict(w, s, i, s == i)
-        for w, s, i in zip(t, suite_values(spec, t), suite_values(impl, t))
-    ]
+    return list(map(Verdict, t, suite_values(spec, t), suite_values(impl, t)))
 
 
 def equiv(a: Fsm, b: Fsm) -> EquivResult:

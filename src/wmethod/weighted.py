@@ -8,9 +8,10 @@ M(eps) is the identity and M(wa) = M(a) M(w).
 Everything here is exact. Weights are `fractions.Fraction`; the kernels
 run on an integer form of each machine (every part scaled by the least
 common multiple of its denominators) and build `Fraction`s only for the
-values and vectors they return. Ranks come from fraction-free Gaussian
-elimination, and equivalence is decided by saturating the reachable
-subspace of a difference machine.
+values and vectors they return. Ranks and coordinates come from one
+fraction-free Gaussian elimination, on which minimization runs too, and
+equivalence is decided by saturating the reachable subspace of a
+difference machine.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ Mat = tuple[Vec, ...]
 IVec = tuple[int, ...]
 IState = tuple[IVec, int]  # integer vector v and denominator d, standing for v / d
 
-ZERO = Fraction(0)
-
 
 def _vec(entries: Iterable) -> Vec:
     return tuple(Fraction(x) for x in entries)
@@ -49,19 +48,6 @@ def _vec(entries: Iterable) -> Vec:
 
 def _mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(_vec(r) for r in rows)
-
-
-def _mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m)
-
-
-def _row_mat(r: Vec, m: Mat) -> Vec:
-    n = len(r)
-    return tuple(sum((r[i] * m[i][j] for i in range(n)), ZERO) for j in range(n))
-
-
-def _dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -87,8 +73,9 @@ class _Echelon:
         self.rows: list[IVec] = []
         self.pivots: list[int] = []
 
-    def add(self, v: Sequence[int]) -> bool:
-        """Insert v; True iff it was independent of the rows so far."""
+    def reduce(self, v: Sequence[int]) -> Sequence[int]:
+        """A nonzero multiple of v minus a combination of the rows, zero at
+        every pivot."""
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
@@ -97,6 +84,11 @@ class _Echelon:
                 g = gcd(*v)
                 if g > 1:
                     v = [x // g for x in v]
+        return v
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Insert v; True iff it was independent of the rows so far."""
+        v = self.reduce(v)
         for p, x in enumerate(v):
             if x:
                 self.rows.append(tuple(v))
@@ -107,36 +99,6 @@ class _Echelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-def _coords(basis: Sequence[Vec], v: Vec) -> Vec:
-    """Coordinates of v in a linearly independent basis (must lie in its span)."""
-    if not basis:
-        if any(x != 0 for x in v):
-            raise ValueError("vector outside the span of an empty basis")
-        return ()
-    n = len(v)
-    k = len(basis)
-    # augmented system: columns are basis vectors
-    aug = [[basis[j][i] for j in range(k)] + [v[i]] for i in range(n)]
-    piv_rows = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pr is None:
-            raise ValueError("basis vectors are not independent")
-        aug[r], aug[pr] = aug[pr], aug[r]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c] / aug[r][c]
-                for j in range(c, k + 1):
-                    aug[i][j] -= f * aug[r][j]
-        piv_rows.append(r)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            raise ValueError("vector outside the span of the basis")
-    return tuple(aug[piv_rows[c]][k] / aug[piv_rows[c]][c] for c in range(k))
 
 
 @dataclass(frozen=True)
@@ -323,39 +285,53 @@ def is_minimal_wa(a: Wa) -> bool:
     return backward_basis(a).rank == a.dim
 
 
-def minimize_wa(a: Wa) -> Wa:
-    """Conjugate reduction: restrict to the reachable subspace, then
-    quotient by the observation kernel. The result has the dimension of
-    the Hankel factorization and recognizes the same series."""
-    fb = forward_basis(a)
-    if fb.rank == 0:
-        return Wa(a.alphabet, 0, (), tuple(() for _ in a.alphabet), ())
-    basis = list(fb.vectors)
+def _restrict(a: Wa, basis: Sequence[Vec]) -> Wa:
+    """a on the span of `basis`, an invariant subspace holding s0, in the
+    coordinates of `basis`.
+
+    Each basis vector b_j is scaled to integers b_j d_j, and the rows
+    [b_j d_j | e_j | 0] go into one echelon form. A state v / d of the
+    span reduces [v | 0 | -1] to a multiple of [0 | -mu | -1] with
+    v = sum_j mu_j b_j d_j, so its j-th coordinate is mu_j d_j / d.
+    """
+    z = a._ints
     k = len(basis)
-    red_mats = []
-    for m in a.mats:
-        cols = [_coords(basis, _mat_vec(m, b)) for b in basis]
-        red_mats.append(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
-    red = Wa(
+    ech = _Echelon()
+    states = [_scaled(b) for b in basis]
+    for j, (v, _) in enumerate(states):
+        ech.add(v + tuple(int(i == j) for i in range(k)) + (0,))
+    pad = (0,) * k + (-1,)
+
+    def coords(state: IState) -> Vec:
+        v, d = state
+        r = ech.reduce(v + pad)
+        return tuple(Fraction(x * dj, r[-1] * d) for x, (_, dj) in zip(r[len(v) : -1], states))
+
+    return Wa(
         a.alphabet,
         k,
-        _coords(basis, a.s0),
-        tuple(red_mats),
-        tuple(_dot(a.f, b) for b in basis),
+        coords((z.s0, z.d0)),
+        tuple(
+            tuple(zip(*[coords(z.step(s, x)) for s in states])) for x in range(len(a.alphabet))
+        ),
+        tuple(z.value(s) for s in states),
     )
-    bb = backward_basis(red)
-    if bb.rank == 0:
-        return Wa(a.alphabet, 0, (), tuple(() for _ in a.alphabet), ())
-    rows = list(bb.vectors)
-    t = len(rows)
-    quo_mats = []
-    for m in red.mats:
-        # solve R M = M' R row by row
-        coeffs = [_coords(rows, _row_mat(r, m)) for r in rows]
-        quo_mats.append(tuple(tuple(coeffs[i][j] for j in range(t)) for i in range(t)))
-    s0 = tuple(_dot(r, red.s0) for r in rows)
-    f = _coords(rows, red.f)
-    return Wa(a.alphabet, t, s0, tuple(quo_mats), f)
+
+
+def _transpose(a: Wa) -> Wa:
+    """The machine with s0 and f swapped and every matrix transposed; its
+    value on w is a's value on w reversed."""
+    return Wa(a.alphabet, a.dim, a.f, tuple(tuple(zip(*m)) for m in a.mats), a.s0)
+
+
+def minimize_wa(a: Wa) -> Wa:
+    """Conjugate reduction: restrict to the reachable subspace, then
+    quotient by the observation kernel. The quotient is the transpose of
+    the transposed machine restricted to the observation row space. The
+    result has the dimension of the Hankel factorization and recognizes
+    the same series."""
+    red = _restrict(a, forward_basis(a).vectors)
+    return _transpose(_restrict(_transpose(red), backward_basis(red).vectors))
 
 
 def _difference(a: Wa, b: Wa) -> _IntForm:
@@ -420,10 +396,7 @@ def agree_on_wa(spec: Wa, impl: Wa, t: Suite) -> list[Verdict]:
         raise ValueError("machine alphabets differ")
     if t.alphabet != spec.alphabet:
         raise ValueError("suite alphabet differs from the machines' alphabet")
-    return [
-        Verdict(w, s, i, s == i)
-        for w, s, i in zip(t, suite_values_wa(spec, t), suite_values_wa(impl, t))
-    ]
+    return list(map(Verdict, t, suite_values_wa(spec, t), suite_values_wa(impl, t)))
 
 
 def in_fault_domain_wa(impl: Wa, p: Suite, k: int) -> bool:

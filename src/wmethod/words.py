@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import lt
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 EPS_TOKEN = "-eps-"
 
@@ -228,22 +228,21 @@ class EquivResult:
         return self.equivalent
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of executing one test against spec and implementation.
 
     `word` is the executed Word (or, for nominal suites, the orbit
-    pattern standing for all its instances).
+    pattern standing for all its instances). The test passes iff the two
+    outputs are equal.
     """
 
     word: object
     spec_out: object
     impl_out: object
-    passed: bool
 
-    def __post_init__(self):
-        if self.passed != (self.spec_out == self.impl_out):
-            raise ValueError("verdict pass flag inconsistent with outputs")
+    @property
+    def passed(self) -> bool:
+        return self.spec_out == self.impl_out
 
 
 def words_upto(alphabet: Alphabet, k: int) -> Suite:

@@ -16,6 +16,8 @@ from wmethod import (
     Suite,
     Wa,
     Word,
+    backward_basis,
+    forward_basis,
     is_minimal,
     lang_value,
     patterns_upto,
@@ -61,7 +63,7 @@ def random_minimal_fsm(rng: random.Random, max_states=6, max_syms=3, kind="dfa")
 
 def random_wa(rng: random.Random, max_dim=4, syms=2, entries=(-2, -1, 0, 0, 1, 2)) -> Wa:
     dim = rng.randint(1, max_dim)
-    ab = Alphabet(tuple("ab"[:syms]))
+    ab = Alphabet(tuple("abc"[:syms]))
 
     def e():
         v = Fraction(rng.choice(entries))
@@ -166,6 +168,85 @@ def fraction_row(a: Wa, w) -> tuple[Fraction, ...]:
 
 def fraction_value(a: Wa, w) -> Fraction:
     return sum((x * y for x, y in zip(a.f, fraction_state(a, w))), Fraction(0))
+
+
+def _coords(basis, v):
+    """Coordinates of v in a linearly independent basis (must lie in its span)."""
+    if not basis:
+        if any(x != 0 for x in v):
+            raise ValueError("vector outside the span of an empty basis")
+        return ()
+    n = len(v)
+    k = len(basis)
+    # augmented system: columns are basis vectors
+    aug = [[basis[j][i] for j in range(k)] + [v[i]] for i in range(n)]
+    piv_rows = []
+    r = 0
+    for c in range(k):
+        pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if pr is None:
+            raise ValueError("basis vectors are not independent")
+        aug[r], aug[pr] = aug[pr], aug[r]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c] / aug[r][c]
+                for j in range(c, k + 1):
+                    aug[i][j] -= f * aug[r][j]
+        piv_rows.append(r)
+        r += 1
+    for i in range(r, n):
+        if aug[i][k] != 0:
+            raise ValueError("vector outside the span of the basis")
+    return tuple(aug[piv_rows[c]][k] / aug[piv_rows[c]][c] for c in range(k))
+
+
+def _mat_vec(m, v):
+    return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m)
+
+
+def _row_mat(r, m):
+    n = len(r)
+    return tuple(sum((r[i] * m[i][j] for i in range(n)), Fraction(0)) for j in range(n))
+
+
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def reference_minimize_wa(a: Wa) -> Wa:
+    """Conjugate reduction by Fraction Gauss-Jordan: the coordinates of
+    every image in the forward basis, then of every row image in the
+    backward basis of the reduced machine (solving R M = M' R row by row).
+    The reference for `wmethod.weighted.minimize_wa`, which restricts on
+    the integer elimination."""
+    fb = forward_basis(a)
+    if fb.rank == 0:
+        return Wa(a.alphabet, 0, (), tuple(() for _ in a.alphabet), ())
+    basis = list(fb.vectors)
+    k = len(basis)
+    red_mats = []
+    for m in a.mats:
+        cols = [_coords(basis, _mat_vec(m, b)) for b in basis]
+        red_mats.append(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
+    red = Wa(
+        a.alphabet,
+        k,
+        _coords(basis, a.s0),
+        tuple(red_mats),
+        tuple(_dot(a.f, b) for b in basis),
+    )
+    bb = backward_basis(red)
+    if bb.rank == 0:
+        return Wa(a.alphabet, 0, (), tuple(() for _ in a.alphabet), ())
+    rows = list(bb.vectors)
+    t = len(rows)
+    quo_mats = []
+    for m in red.mats:
+        coeffs = [_coords(rows, _row_mat(r, m)) for r in rows]
+        quo_mats.append(tuple(tuple(coeffs[i][j] for j in range(t)) for i in range(t)))
+    s0 = tuple(_dot(r, red.s0) for r in rows)
+    f = _coords(rows, red.f)
+    return Wa(a.alphabet, t, s0, tuple(quo_mats), f)
 
 
 def brute_force_equiv(a: Fsm, b: Fsm, max_len: int) -> EquivResult:

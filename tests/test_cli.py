@@ -76,6 +76,23 @@ def test_gen_missing_file():
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["gen", "minimize"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.txt"
+    code, out = run_cli(command, "-o", str(target), COFFEE)
+    assert (code, out) == (2, "")
+    assert f"cannot write {target}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cover", "run"])
+def test_binary_input_is_a_usage_error(tmp_path, capsys, command):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00 not text")
+    argv = {"cover": ["cover", str(binary)], "run": ["run", COFFEE, COFFEE, str(binary)]}[command]
+    assert run_cli(*argv) == (2, "")
+    assert f"cannot read {binary}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_gen_nonminimal_exit3(tmp_path):
     bad = tmp_path / "pad.aut"
     bad.write_text(

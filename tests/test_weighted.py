@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_equiv_wa, random_minimal_wa, random_wa
+from helpers import brute_force_equiv_wa, random_minimal_wa, random_wa, reference_minimize_wa
 from wmethod import (
     EPSILON,
     Alphabet,
@@ -156,6 +158,50 @@ def test_minimize_random_is_canonical():
             assert is_minimal_wa(m)
             assert forward_basis(m).rank == m.dim
         assert minimize_wa(m).dim == m.dim
+
+
+HALVES = (-2, -1, 0, 0, 1, 2, Fraction(1, 2), Fraction(-3, 4))
+
+
+def _reducible_wa(seed: int) -> Wa:
+    """A random WA of dimension at most 8 over 1-3 letters, often not
+    minimal: dense, with an unreachable or an unobservable block, a direct
+    sum with a scaled copy, or with s0 or f zero."""
+    rng = random.Random(seed)
+    syms = rng.randint(1, 3)
+    shape = rng.choice(["dense", "unreachable", "unobservable", "scaled", "zero_s0", "zero_f"])
+    if shape == "scaled":
+        b = random_wa(rng, max_dim=4, syms=syms, entries=HALVES)
+        pad = (0,) * b.dim
+        mats = tuple(tuple(r + pad for r in m) + tuple(pad + r for r in m) for m in b.mats)
+        c = rng.choice(HALVES[4:])
+        return Wa(b.alphabet, 2 * b.dim, b.s0 + tuple(c * x for x in b.s0), mats, b.f + b.f)
+    a = random_wa(rng, max_dim=8, syms=syms, entries=HALVES)
+    n = rng.randint(1, a.dim)  # states below n form the first block
+    zero = (0,) * a.dim
+
+    def cut(keep):
+        return tuple(
+            tuple(tuple(x if keep(i, j) else 0 for j, x in enumerate(r)) for i, r in enumerate(m))
+            for m in a.mats
+        )
+
+    if shape == "unreachable":  # s0 and the first block never feed the rest
+        return Wa(a.alphabet, a.dim, a.s0[:n] + zero[n:], cut(lambda i, j: i < n or j >= n), a.f)
+    if shape == "unobservable":  # f reads the first block, which the rest never feeds
+        return Wa(a.alphabet, a.dim, a.s0, cut(lambda i, j: i >= n or j < n), a.f[:n] + zero[n:])
+    if shape == "zero_s0":
+        return Wa(a.alphabet, a.dim, zero, a.mats, a.f)
+    if shape == "zero_f":
+        return Wa(a.alphabet, a.dim, a.s0, a.mats, zero)
+    return a
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_minimize_wa_matches_fraction_reference(seed):
+    a = _reducible_wa(seed)
+    assert minimize_wa(a) == reference_minimize_wa(a)
 
 
 def test_equiv_wa_counterexample(binary_wa, binary_wa_faulty):

@@ -145,9 +145,8 @@ def test_suite_keeps_texts_only_in_canonical_order():
 
 
 def test_verdict_consistency():
-    with pytest.raises(ValueError):
-        Verdict(EPSILON, 1, 0, True)
-    v = Verdict(EPSILON, 1, 1, True)
+    assert not Verdict(EPSILON, 1, 0).passed
+    v = Verdict(EPSILON, 1, 1)
     assert v.passed
 
 
