@@ -68,6 +68,16 @@ def _render_out(v) -> str:
     return str(v)
 
 
+class _Rendered(dict):
+    """Output value -> its text, each distinct value rendered once. The
+    outputs of one run come from one family's parser, so values that are
+    equal have one type and one rendering."""
+
+    def __missing__(self, v) -> str:
+        text = self[v] = _render_out(v)
+        return text
+
+
 def cmd_gen(args, out) -> int:
     m = _load(args.spec)
     fam = family_of(m)
@@ -95,12 +105,13 @@ def cmd_run(args, out) -> int:
     spec, impl, fam = _load_pair(args.spec, args.impl)
     suite = fam.read_suite(_read(args.suite), spec, args.suite)
     verdicts = fam.agree(spec, impl, suite)
+    passed = [v.spec_out == v.impl_out for v in verdicts]
+    text = _Rendered()
     out.write("".join(
-        f"{'PASS' if v.passed else 'FAIL'} {word} {_render_out(v.spec_out)} "
-        f"{_render_out(v.impl_out)}\n"
-        for word, v in zip(suite.lines(), verdicts)
+        f"{'PASS' if ok else 'FAIL'} {word} {text[v.spec_out]} {text[v.impl_out]}\n"
+        for word, v, ok in zip(suite.lines(), verdicts, passed)
     ))
-    return EXIT_OK if all(v.passed for v in verdicts) else EXIT_FAIL
+    return EXIT_OK if all(passed) else EXIT_FAIL
 
 
 def cmd_equiv(args, out) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .fsm import Fsm
 from .nominal import EPS_PATTERN, OrbitSuite, Rna, SymbolicWord, X_SOURCE
 from .weighted import Wa
-from .words import EPS_TOKEN, EPSILON, Alphabet, Suite
+from .words import EPS_TOKEN, Alphabet, Suite, Word, prefix_walk
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -89,6 +89,13 @@ def _rational(tok: str, filename: str, no: int) -> Fraction:
         raise ParseError(filename, no, f"bad rational {tok!r}: zero denominator") from None
 
 
+def _alphabet(toks: list[str], filename: str, no: int) -> Alphabet:
+    try:
+        return Alphabet(tuple(toks[1:]))
+    except ValueError as e:
+        raise ParseError(filename, no, str(e)) from None
+
+
 def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
     alphabet = None
     n_states = initial = None
@@ -103,7 +110,7 @@ def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
                 raise ParseError(filename, no, "alphabet needs at least one symbol")
             if len(set(toks[1:])) != len(toks[1:]):
                 raise ParseError(filename, no, "alphabet symbols must be distinct")
-            alphabet = Alphabet(tuple(toks[1:]))
+            alphabet = _alphabet(toks, filename, no)
         elif d == "states":
             _once(n_states, d, filename, no)
             (arg,) = _args(toks, "states count", filename, no)
@@ -206,7 +213,7 @@ def _parse_wa(items, filename: str, last: int) -> Wa:
             _once(alphabet, d, filename, no)
             if len(set(toks[1:])) != len(toks[1:]) or len(toks) < 2:
                 raise ParseError(filename, no, "alphabet needs distinct symbols")
-            alphabet = Alphabet(tuple(toks[1:]))
+            alphabet = _alphabet(toks, filename, no)
         elif d == "dim":
             _once(dim, d, filename, no)
             (arg,) = _args(toks, "dim count", filename, no)
@@ -425,22 +432,49 @@ def serialize_suite(t: Suite | OrbitSuite) -> str:
 def parse_suite(text: str, alphabet: Alphabet, filename: str = "<string>") -> Suite:
     """A word suite file: one word per line, its symbols named by the alphabet.
 
-    Each line is read once. A file already in canonical order is taken
-    as it is, its normalized lines kept as the words' renderings; any
-    other file is deduplicated and sorted.
+    The lines are read by prefix. Each normalized line (tokens joined by
+    single spaces) is anchored at its longest proper prefix among the
+    lines (`prefix_walk` over the sorted texts), and only the tokens after
+    the anchor's text are looked up. Symbol names are printable and hold
+    no space, so a line's token-level extensions sort right after it and
+    the anchors are exactly the longest prefix words: the walk also gives
+    the execution plan. A file already in canonical order is taken as it
+    is, with its lines and plan kept; any other file is deduplicated and
+    sorted.
     """
-    words, lines = [], []
-    for no, toks in _directives(text):
-        if toks == [EPS_TOKEN]:
-            words.append(EPSILON)
-            lines.append(EPS_TOKEN)
-            continue
-        try:
-            words.append(alphabet.word(*toks))
-        except ValueError as e:
-            raise ParseError(filename, no, str(e)) from e
-        lines.append(" ".join(toks))
-    return Suite(alphabet, tuple(words), tuple(lines))
+    nos, lines = [], []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        # every whitespace character other than " " is not printable
+        if not raw.isprintable() or "  " in raw or raw[:1] == " " or raw[-1:] == " ":
+            raw = " ".join(raw.split())
+        if raw and raw[0] != "#":
+            nos.append(no)
+            lines.append(raw)
+    keys = ["" if line == EPS_TOKEN else line for line in lines]
+    anchors, order = prefix_walk(keys, " ")
+    index = alphabet._index.__getitem__
+    syms: list = [()] * len(keys)
+    plan: list = [None] * len(keys)
+    try:
+        for i in order:
+            a = anchors[i]
+            if a < 0:
+                w = tuple(map(index, keys[i].split()))
+                plan[i] = (a, w, 0)
+            else:
+                base = syms[a]
+                w = base + tuple(map(index, keys[i][len(keys[a]) + 1 :].split()))
+                plan[i] = (a, w, len(base))
+            syms[i] = w
+    except KeyError:
+        # report the first bad line of the file, as a line-by-line read would
+        for no, key in zip(nos, keys):
+            try:
+                alphabet.word(*key.split())
+            except ValueError as e:
+                raise ParseError(filename, no, str(e)) from e
+        raise
+    return Suite(alphabet, tuple(map(Word, syms)), tuple(lines), tuple(plan))
 
 
 def parse_patterns(text: str, filename: str = "<string>") -> OrbitSuite:

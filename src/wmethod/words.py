@@ -32,6 +32,13 @@ class Alphabet:
             raise ValueError("alphabet must be nonempty")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be pairwise distinct")
+        for s in self.symbols:
+            # a suite-file line is its symbol names joined by single spaces
+            if s == EPS_TOKEN or s[:1] in ("", "#") or " " in s or not s.isprintable():
+                raise ValueError(
+                    f"symbol {s!r} cannot be written in a suite file: names are printable, "
+                    f"hold no space, are not {EPS_TOKEN} and do not start with #"
+                )
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -110,29 +117,47 @@ Plan = tuple[tuple[int, tuple, int], ...]
 State = TypeVar("State")
 
 
+def prefix_walk(keys: Sequence, sep: tuple | str = ()) -> tuple[list[int], list[int]]:
+    """Each key's longest proper prefix among the keys, found in one pass.
+
+    Returns `(anchors, order)`: `anchors[i]` is the index of the longest
+    key k such that k + sep starts keys[i] (-1 if there is none), and
+    `order` lists the indices with the keys sorted. Symbol tuples use
+    sep=(); suite-file lines use sep=" ", so that only whole tokens count.
+
+    Sorting puts every prefix of a key before it, and every key between
+    a prefix u and a key extending u extends u as well. So a stack of the
+    keys seen so far, each a proper prefix of the next, holds after
+    popping the ones that do not start the current key exactly the
+    current key's prefixes among the keys. The empty key is the root's
+    own and never an anchor. Time is one sort plus work linear in the
+    total length of the keys.
+    """
+    anchors = [-1] * len(keys)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    top, head = -1, sep[:0]  # the innermost prefix, as (index, key + sep); -1 is the root
+    stack = []  # the enclosing ones
+    for i in order:
+        k = keys[i]
+        while k[: len(head)] != head:
+            top, head = stack.pop()
+        anchors[i] = top
+        if k:
+            stack.append((top, head))
+            top, head = i, k + sep
+    return anchors, order
+
+
 def prefix_plan(words: Sequence[tuple]) -> Plan:
     """Plan the execution of distinct words given in canonical order.
 
-    One pass over the words in lexicographic order finds each word's
-    longest proper prefix among the words. That order puts every prefix
-    of a word before it, and every word between a prefix u and a word
-    extending u extends u as well. So a stack of the words seen so far,
-    each a proper prefix of the next, holds after popping the ones that
-    are not prefixes of the current word exactly the current word's
-    prefixes among the words. The empty word is the root's own state
-    and never an anchor. Time is one sort plus work linear in the number
-    of symbols; the canonical order makes every anchor an earlier word.
+    Each word starts from its longest proper prefix among the words
+    (`prefix_walk`); the canonical order makes every anchor an earlier
+    word.
     """
-    plan: list = [None] * len(words)
-    stack = [(-1, ())]  # (index, word): a root entry, then nested prefixes
-    for i in sorted(range(len(words)), key=words.__getitem__):
-        w = words[i]
-        while w[: len(stack[-1][1])] != stack[-1][1]:
-            stack.pop()
-        anchor, prefix = stack[-1]
-        plan[i] = (anchor, w, len(prefix))
-        if w:
-            stack.append((i, w))
+    plan: list = prefix_walk(words)[0]
+    for i, a in enumerate(plan):
+        plan[i] = (a, words[i], len(words[a]) if a >= 0 else 0)
     return tuple(plan)
 
 
@@ -163,10 +188,12 @@ class Suite:
 
     alphabet: Alphabet
     words: tuple[Word, ...] = field(default=())
-    # Optional: the suite-file line of each word, as read. Kept only when
-    # the words came in canonical order, so that lines() need not render
-    # them again.
+    # Optional: the suite-file line of each word, as read, and the words'
+    # execution plan, as the reader found it. Kept only when the words
+    # came in canonical order, so that lines() need not render them again
+    # and plan need not be computed.
     texts: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
+    planned: Plan | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         words = tuple(self.words)
@@ -179,6 +206,7 @@ class Suite:
         object.__setattr__(self, "words", canon)
         if canon is not words:
             object.__setattr__(self, "texts", None)
+            object.__setattr__(self, "planned", None)
 
     @classmethod
     def of(cls, alphabet: Alphabet, words: Iterable[Word | tuple[int, ...]]) -> "Suite":
@@ -207,6 +235,8 @@ class Suite:
     @cached_property
     def plan(self) -> Plan:
         """The prefix-sharing execution plan of the words (see `prefix_plan`)."""
+        if self.planned is not None:
+            return self.planned
         return prefix_plan([w.syms for w in self.words])
 
     def lines(self) -> Iterable[str]:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from wmethod import (
+    EPS_TOKEN,
     EPSILON,
     Alphabet,
     EquivResult,
@@ -247,6 +248,27 @@ def reference_minimize_wa(a: Wa) -> Wa:
     s0 = tuple(_dot(r, red.s0) for r in rows)
     f = _coords(rows, red.f)
     return Wa(a.alphabet, t, s0, tuple(quo_mats), f)
+
+
+def reference_parse_suite(text: str, alphabet: Alphabet, filename: str = "<string>") -> Suite:
+    """The line-by-line suite reader: every token of every line looked up by name."""
+    from wmethod.formats import ParseError
+
+    words, lines = [], []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split()
+        if not toks or toks[0].startswith("#"):
+            continue
+        if toks == [EPS_TOKEN]:
+            words.append(EPSILON)
+            lines.append(EPS_TOKEN)
+            continue
+        try:
+            words.append(alphabet.word(*toks))
+        except ValueError as e:
+            raise ParseError(filename, no, str(e)) from e
+        lines.append(" ".join(toks))
+    return Suite(alphabet, tuple(words), tuple(lines))
 
 
 def brute_force_equiv(a: Fsm, b: Fsm, max_len: int) -> EquivResult:

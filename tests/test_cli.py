@@ -184,6 +184,31 @@ def test_parse_error_exit2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["#e", "-eps-", "e\x1b[2J"])
+def test_gen_rejects_symbol_names_a_suite_file_cannot_hold(tmp_path, capsys, name):
+    # as `#e`, every suite line starting with it read back as a comment; as
+    # `-eps-`, the one-letter word read back as the empty word
+    spec = tmp_path / "renamed.aut"
+    text = (FIXTURES / "coffee.aut").read_text()
+    spec.write_text(text.replace("alphabet c e 1", f"alphabet c {name} 1"))
+    code, _ = run_cli("gen", "--k", "0", "-o", str(tmp_path / "s.suite"), str(spec))
+    assert code == 2
+    no = text.splitlines().index("alphabet c e 1") + 1
+    assert f"{spec}:{no}: symbol {name!r} cannot be written in a suite file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", sorted(p.name for p in FIXTURES.iterdir() if p.is_file()))
+def test_run_executes_every_generated_word(tmp_path, spec):
+    suite = tmp_path / "s.suite"
+    argv = ["gen", "--k", "0", "--allow-nonminimal", "-o", str(suite), str(FIXTURES / spec)]
+    code, out = run_cli(*argv)
+    assert code == 0
+    size = int(out.splitlines()[-1].removeprefix("|suite| = "))
+    code, out = run_cli("run", str(FIXTURES / spec), str(FIXTURES / spec), str(suite))
+    assert code == 0
+    assert len(out.splitlines()) == size
+
+
 def test_usage_error_exit2():
     assert main(["gen", COFFEE]) == 2  # missing -o
     assert main([]) == 2

@@ -1,8 +1,11 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import FIXTURES, load, random_fsm, random_rna, random_wa
+from helpers import FIXTURES, load, random_fsm, random_rna, random_wa, reference_parse_suite
 from wmethod import (
     Alphabet,
     EPS_PATTERN,
@@ -17,6 +20,7 @@ from wmethod import (
     serialize_machine,
     serialize_suite,
 )
+from wmethod.words import prefix_plan
 
 GOOD_FIXTURES = [
     "coffee.aut",
@@ -128,6 +132,63 @@ def test_suite_file_order_and_spacing_do_not_matter():
     assert parse_suite(messy, ab) == parse_suite(canonical, ab)
     assert serialize_suite(parse_suite(messy, ab)) == canonical
     assert serialize_suite(parse_suite(canonical, ab)) == canonical
+
+
+# names that are textual prefixes of one another; a drawn alphabet lists
+# them in random index order
+NAMES = ("a", "ab", "a1", "b", "ba", "1")
+# separators that do not break a line: "\x1f" and the two spaces are
+# whitespace to str.split, none of them is printable
+SEPARATORS = (" ", "  ", "\t", " \t", "\xa0", "\u3000", "\x1f")
+
+
+@st.composite
+def suite_files(draw):
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
+    ab = Alphabet(tuple(names))
+    words = draw(st.lists(st.lists(st.integers(0, len(names) - 1), max_size=4), max_size=10))
+    lines = [line.split() for line in Suite.of(ab, words).lines()]
+    if draw(st.booleans()):
+        lines += draw(st.lists(st.sampled_from(lines), max_size=3)) if lines else []
+        lines = draw(st.permutations(lines))
+    if lines and draw(st.integers(0, 3)) == 0:  # an unknown symbol somewhere
+        toks = draw(st.sampled_from(lines))
+        bad = draw(st.sampled_from([n for n in NAMES + ("z", "-eps-") if n not in names]))
+        toks.insert(draw(st.integers(0, len(toks))), bad)
+    out = []
+    for toks in lines:
+        lead, trail = draw(st.sampled_from(("", *SEPARATORS))), draw(st.sampled_from(("", *SEPARATORS)))
+        body = toks[0] if toks else ""
+        for tok in toks[1:]:
+            body += draw(st.sampled_from(SEPARATORS)) + tok
+        out.append(lead + body + trail)
+        out += draw(st.lists(st.sampled_from(("", "  ", "# note", "\t# a b", "#a")), max_size=1))
+    return ab, "\n".join(out) + draw(st.sampled_from(("", "\n", "\r\n")))
+
+
+@given(suite_files())
+@settings(max_examples=300)
+def test_parse_suite_matches_the_line_by_line_reader(case):
+    ab, text = case
+    try:
+        expected = reference_parse_suite(text, ab, "t.suite")
+    except ParseError as e:
+        with pytest.raises(ParseError) as err:
+            parse_suite(text, ab, "t.suite")
+        assert (err.value.line, err.value.message) == (e.line, e.message)
+        return
+    got = parse_suite(text, ab, "t.suite")
+    assert got.words == expected.words
+    assert got.texts == expected.texts
+    assert (got.planned is None) == (got.texts is None)
+    assert got.plan == prefix_plan([w.syms for w in got])
+
+
+def test_only_the_space_is_printable_whitespace():
+    # parse_suite keeps a printable line without double, leading or
+    # trailing spaces as it is, in place of joining its split tokens
+    chars = map(chr, range(sys.maxunicode + 1))
+    assert [c for c in chars if c.isspace() and c.isprintable()] == [" "]
 
 
 def test_pattern_round_trip():

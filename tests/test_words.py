@@ -15,6 +15,7 @@ from wmethod import (
     w_suite,
     words_upto,
 )
+from wmethod.words import prefix_plan
 
 AB2 = Alphabet(("a", "b"))
 AB3 = Alphabet(("c", "e", "1"))
@@ -121,6 +122,12 @@ def test_prefix_close_examples():
     assert [w.render(AB3) for w in got] == ["-eps-", "1", "1 1", "1 1 c", "1 1 c 1"]
 
 
+@pytest.mark.parametrize("name", ["-eps-", "#e", "e\x1b[2J", "e\tf", "a b", ""])
+def test_alphabet_rejects_names_a_suite_file_cannot_hold(name):
+    with pytest.raises(ValueError, match="cannot be written in a suite file"):
+        Alphabet(("c", name))
+
+
 def test_suite_canonical_order_and_dedup():
     s = Suite.of(AB2, [Word((1,)), Word((0,)), Word((1,)), EPSILON, Word((0, 1))])
     assert [w.syms for w in s] == [(), (0,), (1,), (0, 1)]
@@ -136,12 +143,15 @@ def test_suite_rejects_out_of_range_symbols():
 
 def test_suite_keeps_texts_only_in_canonical_order():
     words = (EPSILON, Word((0,)), Word((1, 0)))
-    kept = Suite(AB2, words, ("given eps", "given a", "given b a"))
+    plan = ((-1, (), 0), (-1, (0,), 0), (-1, (1, 0), 0))
+    kept = Suite(AB2, words, ("given eps", "given a", "given b a"), plan)
     assert list(kept.lines()) == ["given eps", "given a", "given b a"]
+    assert kept.plan is plan
     assert kept == Suite(AB2, words)
-    resorted = Suite(AB2, words[::-1], ("given b a", "given a", "given eps"))
-    assert resorted.texts is None
+    resorted = Suite(AB2, words[::-1], ("given b a", "given a", "given eps"), plan[::-1])
+    assert resorted.texts is None and resorted.planned is None
     assert list(resorted.lines()) == ["-eps-", "a", "b a"]
+    assert resorted.plan == prefix_plan([w.syms for w in words])
 
 
 def test_verdict_consistency():
