@@ -148,7 +148,7 @@ def cmd_charset(args, out) -> int:
 
 def cmd_faultsim(args, out) -> int:
     spec = _load(args.spec)
-    ms = MutationSpec(family_of(spec).name, args.extra_states, args.mutants, args.seed)
+    ms = MutationSpec(args.extra_states, args.mutants, args.seed)
     report = completeness_experiment(spec, args.k, ms)
     out.write(report.render())
     return EXIT_OK if report.ok else EXIT_FAIL

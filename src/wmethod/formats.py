@@ -96,6 +96,13 @@ def _alphabet(toks: list[str], filename: str, no: int) -> Alphabet:
         raise ParseError(filename, no, str(e)) from None
 
 
+def _symbol(alphabet: Alphabet, tok: str, filename: str, no: int) -> int:
+    try:
+        return alphabet._index[tok]
+    except KeyError:
+        raise ParseError(filename, no, f"unknown symbol {tok!r}") from None
+
+
 def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
     alphabet = None
     n_states = initial = None
@@ -106,10 +113,6 @@ def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
         d = toks[0]
         if d == "alphabet":
             _once(alphabet, d, filename, no)
-            if len(toks) < 2:
-                raise ParseError(filename, no, "alphabet needs at least one symbol")
-            if len(set(toks[1:])) != len(toks[1:]):
-                raise ParseError(filename, no, "alphabet symbols must be distinct")
             alphabet = _alphabet(toks, filename, no)
         elif d == "states":
             _once(n_states, d, filename, no)
@@ -137,10 +140,10 @@ def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
                         filename, no, "mealy output: `output state symbol value` after alphabet"
                     )
                 q = _int(toks[1], filename, no, "output state")
-                if toks[2] not in alphabet.symbols:
-                    raise ParseError(filename, no, f"unknown symbol {toks[2]!r}")
-                key = (q, alphabet.index(toks[2]))
+                key = (q, _symbol(alphabet, toks[2], filename, no))
                 value = toks[3]
+            if not value.isprintable():
+                raise ParseError(filename, no, f"output value {value!r} is not printable")
             if key in outputs:
                 raise ParseError(filename, no, f"duplicate output for {toks[1]}")
             outputs[key] = value
@@ -150,10 +153,9 @@ def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
             if alphabet is None:
                 raise ParseError(filename, no, "trans before alphabet directive")
             src = _int(toks[1], filename, no, "trans source")
-            if toks[2] not in alphabet.symbols:
-                raise ParseError(filename, no, f"unknown symbol {toks[2]!r}")
+            a = _symbol(alphabet, toks[2], filename, no)
             dst = _int(toks[3], filename, no, "trans target")
-            key = (src, alphabet.index(toks[2]))
+            key = (src, a)
             if key in delta:
                 raise ParseError(filename, no, f"duplicate transition for state {src}")
             delta[key] = dst
@@ -211,8 +213,6 @@ def _parse_wa(items, filename: str, last: int) -> Wa:
         d = toks[0]
         if d == "alphabet":
             _once(alphabet, d, filename, no)
-            if len(set(toks[1:])) != len(toks[1:]) or len(toks) < 2:
-                raise ParseError(filename, no, "alphabet needs distinct symbols")
             alphabet = _alphabet(toks, filename, no)
         elif d == "dim":
             _once(dim, d, filename, no)
@@ -231,10 +231,9 @@ def _parse_wa(items, filename: str, last: int) -> Wa:
             if len(toks) != 5 or alphabet is None:
                 raise ParseError(filename, no, "trans: `trans src sym dst weight` after alphabet")
             src = _int(toks[1], filename, no, "trans source")
-            if toks[2] not in alphabet.symbols:
-                raise ParseError(filename, no, f"unknown symbol {toks[2]!r}")
+            a = _symbol(alphabet, toks[2], filename, no)
             dst = _int(toks[3], filename, no, "trans target")
-            key = (src, alphabet.index(toks[2]), dst)
+            key = (src, a, dst)
             if key in trans:
                 raise ParseError(filename, no, "duplicate transition weight")
             trans[key] = _rational(toks[4], filename, no)

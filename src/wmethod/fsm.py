@@ -107,21 +107,19 @@ def _check_compatible(a: Fsm, b: Fsm):
         raise ValueError("machine alphabets differ")
 
 
-def _reachable_states(m: Fsm) -> list[int]:
-    """Reachable states in BFS order (alphabet order breaks ties)."""
-    seen = [False] * m.n_states
-    order = []
+def _access(m: Fsm) -> dict[int, Word]:
+    """Shortest access word of every reachable state, in BFS order (alphabet
+    order breaks ties)."""
+    access: dict[int, Word] = {m.initial: EPSILON}
     queue = deque([m.initial])
-    seen[m.initial] = True
     while queue:
         q = queue.popleft()
-        order.append(q)
         for a in range(len(m.alphabet)):
             t = m.delta[q][a]
-            if not seen[t]:
-                seen[t] = True
+            if t not in access:
+                access[t] = access[q] + Word((a,))
                 queue.append(t)
-    return order
+    return access
 
 
 def _refine_partition(m: Fsm, states: list[int]) -> dict[int, int]:
@@ -151,7 +149,7 @@ def minimize(m: Fsm) -> Fsm:
     States of the result are numbered in BFS order from the initial
     state, so minimization is idempotent on the nose.
     """
-    reach = _reachable_states(m)
+    reach = list(_access(m))
     block = _refine_partition(m, reach)
     # representative per block, in BFS discovery order
     rep_order = []
@@ -177,15 +175,7 @@ def is_minimal(m: Fsm) -> bool:
 
 def state_cover(m: Fsm) -> Suite:
     """Shortest access word for every state, BFS with alphabet-order tie-breaking."""
-    access: dict[int, Word] = {m.initial: EPSILON}
-    queue = deque([m.initial])
-    while queue:
-        q = queue.popleft()
-        for a in range(len(m.alphabet)):
-            t = m.delta[q][a]
-            if t not in access:
-                access[t] = access[q] + Word((a,))
-                queue.append(t)
+    access = _access(m)
     missing = [q for q in range(m.n_states) if q not in access]
     if missing:
         raise NotMinimalError(f"state {missing[0]} is unreachable; no state cover exists")

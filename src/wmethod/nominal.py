@@ -480,17 +480,11 @@ def _pair_configs(a: Rna) -> Iterator[tuple[State, State]]:
         regs1 = tuple(range(1, r1 + 1))
         for l2 in range(l1, n):
             r2 = a.arity(l2)
-            for size in range(min(r1, r2) + 1):
-                for positions2 in combinations(range(r2), size):
-                    for positions1 in permutations(range(r1), size):
-                        match = dict(zip(positions2, positions1))
-                        regs2 = tuple(
-                            regs1[match[j]] if j in match else r1 + 1 + j
-                            for j in range(r2)
-                        )
-                        if l1 == l2 and regs2 == regs1:
-                            continue  # the identical state, not a pair
-                        yield (l1, regs1), (l2, regs2)
+            for merge in _injective_merges(r1, r2):
+                regs2 = tuple(merge.get(j, r1 + j) for j in range(1, r2 + 1))
+                if l1 == l2 and regs2 == regs1:
+                    continue  # the identical state, not a pair
+                yield (l1, regs1), (l2, regs2)
 
 
 def is_minimal_rna(a: Rna) -> bool:

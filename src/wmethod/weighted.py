@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .words import (
     EPSILON,
@@ -211,22 +211,27 @@ def _basis(found: list[tuple[Word, IState]]) -> VecSpaceBasis:
     return VecSpaceBasis(tuple(_fractions(st) for _, st in found), tuple(w for w, _ in found))
 
 
-def forward_basis(a: Wa) -> VecSpaceBasis:
-    """Basis of span{M(w) s0} with length-lex minimal, prefix-closed witnesses."""
-    z = a._ints
+def _reach(z: _IntForm, n_syms: int) -> Iterator[tuple[Word, IState]]:
+    """(w, state of w), in length-lex order, for every word w whose state
+    M(w) s0 is independent of the states of all smaller words. The words
+    are prefix-closed; their states are a basis of the reachable space."""
     ech = _Echelon()
-    found: list[tuple[Word, IState]] = []
-    if ech.add(z.s0):
-        found.append((EPSILON, (z.s0, z.d0)))
-    queue = deque(found)
+    if not ech.add(z.s0):
+        return
+    queue = deque([(EPSILON, (z.s0, z.d0))])
+    yield queue[0]
     while queue:
         w, state = queue.popleft()
-        for s in range(len(a.alphabet)):
+        for s in range(n_syms):
             nxt = z.step(state, s)
             if ech.add(nxt[0]):
-                found.append((w + Word((s,)), nxt))
-                queue.append(found[-1])
-    return _basis(found)
+                queue.append((w + Word((s,)), nxt))
+                yield queue[-1]
+
+
+def forward_basis(a: Wa) -> VecSpaceBasis:
+    """Basis of span{M(w) s0} with length-lex minimal, prefix-closed witnesses."""
+    return _basis(list(_reach(a._ints, len(a.alphabet))))
 
 
 def backward_basis(a: Wa) -> VecSpaceBasis:
@@ -362,25 +367,19 @@ def _difference(a: Wa, b: Wa) -> _IntForm:
 
 def equiv_wa(a: Wa, b: Wa) -> EquivResult:
     """Exact series equality; counterexample is the length-lex least word
-    on which the values differ (length < dim(a) + dim(b))."""
+    on which the values differ (length < dim(a) + dim(b)).
+
+    The words tried are those `_reach` yields on the difference machine,
+    whose value is a's minus b's. That is enough: a word whose state is a
+    combination of the states of smaller words has value 0 when all of
+    those do, so the least word of nonzero value is one that is yielded.
+    """
     if a.alphabet != b.alphabet:
         raise ValueError("machine alphabets differ")
     z = _difference(a, b)
-    if _idot(z.f, z.s0):
-        return EquivResult(False, EPSILON)
-    ech = _Echelon()
-    queue: deque[tuple[Word, IState]] = deque()
-    if ech.add(z.s0):
-        queue.append((EPSILON, (z.s0, z.d0)))
-    while queue:
-        w, state = queue.popleft()
-        for s in range(len(a.alphabet)):
-            nxt = z.step(state, s)
-            nw = w + Word((s,))
-            if _idot(z.f, nxt[0]):
-                return EquivResult(False, nw)
-            if ech.add(nxt[0]):
-                queue.append((nw, nxt))
+    for w, (v, _) in _reach(z, len(a.alphabet)):
+        if _idot(z.f, v):
+            return EquivResult(False, w)
     return EquivResult(True, None)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from pathlib import Path
 
 from wmethod import (
@@ -131,6 +132,27 @@ def reference_concat_orbit(a: N.OrbitSuite, b: N.OrbitSuite) -> N.OrbitSuite:
                 tail = tuple(merge.get(c, m + c) for c in v.pattern)
                 out.add(N.SymbolicWord.from_atoms(u.pattern + tail))
     return N.OrbitSuite(tuple(out))
+
+
+def reference_pair_configs(a: Rna):
+    """Every pair of distinct states, with register overlaps enumerated by
+    positions. The reference for `wmethod.nominal._pair_configs`, which
+    takes the overlaps from `_injective_merges`."""
+    n = len(a.locations)
+    for l1 in range(n):
+        r1 = a.arity(l1)
+        regs1 = tuple(range(1, r1 + 1))
+        for l2 in range(l1, n):
+            r2 = a.arity(l2)
+            for size in range(min(r1, r2) + 1):
+                for positions2 in combinations(range(r2), size):
+                    for positions1 in permutations(range(r1), size):
+                        match = dict(zip(positions2, positions1))
+                        regs2 = tuple(
+                            regs1[match[j]] if j in match else r1 + 1 + j for j in range(r2)
+                        )
+                        if l1 != l2 or regs2 != regs1:
+                            yield (l1, regs1), (l2, regs2)
 
 
 def fraction_rank(vectors) -> int:

@@ -104,7 +104,7 @@ def test_dfa_completeness_200_specs():
     for i in range(200):
         spec = random_minimal_fsm(rng, max_states=6, max_syms=3)
         k = i % 2
-        ms = MutationSpec("fsm", k, 20, seed=rng.randrange(2**32))
+        ms = MutationSpec(k, 20, seed=rng.randrange(2**32))
         report = completeness_experiment(spec, k, ms)
         survivors = [
             r
@@ -139,7 +139,7 @@ def test_wa_completeness_100_specs():
         p = Suite(spec.alphabet, forward_basis(spec).witnesses)
         w = Suite(spec.alphabet, backward_basis(spec).witnesses)
         suite = w_suite(p, spec.alphabet, k, w)
-        ms = MutationSpec("wa", 1, 8, seed=rng.randrange(2**32))
+        ms = MutationSpec(1, 8, seed=rng.randrange(2**32))
         for mut in gen_mutants_wa(spec, ms, p, k):
             assert in_fault_domain_wa(mut, p, k)
             if all(v.passed for v in agree_on_wa(spec, mut, suite)):

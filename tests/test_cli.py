@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -195,6 +198,50 @@ def test_gen_rejects_symbol_names_a_suite_file_cannot_hold(tmp_path, capsys, nam
     assert code == 2
     no = text.splitlines().index("alphabet c e 1") + 1
     assert f"{spec}:{no}: symbol {name!r} cannot be written in a suite file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fixture, line", [("coffee_moore.aut", "output 0 0"), ("coffee_mealy.aut", "output 0 c err")]
+)
+@pytest.mark.parametrize("command", ["gen", "minimize"])
+def test_nonprintable_output_value_is_a_parse_error(tmp_path, capsys, fixture, line, command):
+    # `run` and `minimize` print output values as they are
+    spec = tmp_path / fixture
+    text = (FIXTURES / fixture).read_text()
+    spec.write_text(text.replace(line, line + "x\x1b[2J"))
+    argv = ["gen", "--k", "0", "-o", str(tmp_path / "s.suite")] if command == "gen" else [command]
+    code, out = run_cli(*argv, str(spec))
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    no = text.splitlines().index(line) + 1
+    assert f"{spec}:{no}: output value " in err and "\x1b" not in err
+
+
+def test_process_exit_codes(tmp_path):
+    # the installed `wmethod` script raises SystemExit(main()); run it as a process
+    unreachable = tmp_path / "unreachable.aut"
+    unreachable.write_text(DEFECTIVE["dfa"])
+    cases = [
+        (["gen", "--k", "0", "-o", str(tmp_path / "s.suite"), COFFEE], 0),
+        (["equiv", COFFEE, I1], 1),
+        (["cover", str(FIXTURES / "bad" / "fsm_unknown_symbol.aut")], 2),
+        (["cover", str(unreachable)], 3),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "wmethod.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            text=True,
+        )
+        for argv, _ in cases
+    ]
+    for (argv, code), proc in zip(cases, procs):
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == code
+        assert (code, out) == run_cli(*argv)
 
 
 @pytest.mark.parametrize("spec", sorted(p.name for p in FIXTURES.iterdir() if p.is_file()))

@@ -46,20 +46,26 @@ def test_set_output(coffee, coffee_mealy):
     assert m.output[1][0] == "brr"
 
 
+@pytest.mark.parametrize("args", [(-1, 1, 0), (0, -1, 0)])
+def test_mutation_spec_rejects_negative_counts(args):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        MutationSpec(*args)
+
+
 def test_gen_mutants_empty(coffee):
-    assert gen_mutants_fsm(coffee, MutationSpec("fsm", 0, 0, 1)) == []
+    assert gen_mutants_fsm(coffee, MutationSpec(0, 0, 1)) == []
 
 
 def test_gen_mutants_deterministic(coffee):
-    ms = MutationSpec("fsm", 1, 25, 99)
+    ms = MutationSpec(1, 25, 99)
     assert gen_mutants_fsm(coffee, ms) == gen_mutants_fsm(coffee, ms)
-    other = MutationSpec("fsm", 1, 25, 100)
+    other = MutationSpec(1, 25, 100)
     assert gen_mutants_fsm(coffee, other) != gen_mutants_fsm(coffee, ms)
 
 
 def test_gen_mutants_state_bound(coffee):
     for k in (0, 2):
-        ms = MutationSpec("fsm", k, 40, 5)
+        ms = MutationSpec(k, 40, 5)
         for m in gen_mutants_fsm(coffee, ms):
             assert m.n_states <= coffee.n_states + k
 
@@ -71,11 +77,11 @@ def test_gen_mutants_requires_minimal(coffee):
         "dfa", coffee.alphabet, 5, 0, coffee.delta + ((3, 3, 3),), coffee.output + (0,)
     )
     with pytest.raises(NotMinimalError):
-        gen_mutants_fsm(cloned, MutationSpec("fsm", 0, 1, 1))
+        gen_mutants_fsm(cloned, MutationSpec(0, 1, 1))
 
 
 def test_experiment_fsm_no_indomain_survivors(coffee):
-    report = completeness_experiment(coffee, 0, MutationSpec("fsm", 0, 60, 7))
+    report = completeness_experiment(coffee, 0, MutationSpec(0, 60, 7))
     assert report.ok
     assert len(report.results) == 60
     for r in report.results:
@@ -85,7 +91,7 @@ def test_experiment_fsm_no_indomain_survivors(coffee):
 
 
 def test_experiment_report_deterministic(coffee):
-    ms = MutationSpec("fsm", 1, 30, 11)
+    ms = MutationSpec(1, 30, 11)
     a = completeness_experiment(coffee, 1, ms).render()
     b = completeness_experiment(coffee, 1, ms).render()
     assert a == b
@@ -94,24 +100,19 @@ def test_experiment_report_deterministic(coffee):
 
 
 def test_experiment_wa(binary_wa):
-    report = completeness_experiment(binary_wa, 1, MutationSpec("wa", 1, 25, 3))
+    report = completeness_experiment(binary_wa, 1, MutationSpec(1, 25, 3))
     assert report.ok
     assert all(r.in_domain for r in report.results)
 
 
 def test_experiment_rna(same_twice):
-    report = completeness_experiment(same_twice, 0, MutationSpec("rna", 0, 25, 3))
+    report = completeness_experiment(same_twice, 0, MutationSpec(0, 25, 3))
     assert report.ok
-
-
-def test_experiment_family_mismatch(coffee):
-    with pytest.raises(ValueError):
-        completeness_experiment(coffee, 0, MutationSpec("wa", 0, 5, 1))
 
 
 def test_experiment_unsupported_type():
     with pytest.raises(TypeError):
-        completeness_experiment(object(), 0, MutationSpec("fsm", 0, 1, 1))
+        completeness_experiment(object(), 0, MutationSpec(0, 1, 1))
 
 
 @pytest.mark.parametrize(
@@ -122,7 +123,7 @@ def test_killed_by_is_first_failing_verdict(name, k):
     # word it reports must be the first failing verdict of the agree path
     spec = load(name)
     fam = family_of(spec)
-    ms = MutationSpec(fam.name, k, 30, 17)
+    ms = MutationSpec(k, 30, 17)
     suite = fam.suite(fam.cover(spec), k, fam.charset(spec))
     mutants = {
         "fsm": lambda: gen_mutants_fsm(spec, ms),
@@ -138,14 +139,14 @@ def test_killed_by_is_first_failing_verdict(name, k):
 
 def test_wa_mutants_stay_in_domain(binary_wa):
     p = Suite(binary_wa.alphabet, forward_basis(binary_wa).witnesses)
-    ms = MutationSpec("wa", 1, 15, 21)
+    ms = MutationSpec(1, 15, 21)
     for m in gen_mutants_wa(binary_wa, ms, p, 1):
         assert in_fault_domain_wa(m, p, 1)
 
 
 def test_rna_mutants_have_weak_cover(same_twice):
     p = state_cover_rna(same_twice)
-    ms = MutationSpec("rna", 0, 15, 21)
+    ms = MutationSpec(0, 15, 21)
     for m in gen_mutants_rna(same_twice, ms, p):
         weak_cover_map_rna(m, p)  # raises if the domain check was wrong
 
@@ -157,7 +158,7 @@ def test_in_domain_soundness_random_specs():
     for i in range(12):
         spec = random_minimal_fsm(rng, max_states=5, max_syms=2)
         k = i % 2
-        report = completeness_experiment(spec, k, MutationSpec("fsm", k, 15, i))
+        report = completeness_experiment(spec, k, MutationSpec(k, 15, i))
         assert report.ok, report.render()
 
 

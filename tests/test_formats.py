@@ -88,6 +88,28 @@ def test_repeated_alphabet_reports_second_line():
     assert err.value.line == 7
 
 
+@pytest.mark.parametrize(
+    "head, rest",
+    [
+        ("kind dfa", "states 1\ninitial 0\ntrans 0 a 0\n"),
+        ("kind wa", "dim 1\ninit 0 1\n"),
+    ],
+    ids=["fsm", "wa"],
+)
+@pytest.mark.parametrize(
+    "symbols, message",
+    [
+        (" a a", "alphabet symbols must be pairwise distinct"),
+        ("", "alphabet must be nonempty"),
+    ],
+    ids=["repeated", "empty"],
+)
+def test_bad_alphabet_reports_the_alphabet_line(head, rest, symbols, message):
+    with pytest.raises(ParseError) as err:
+        parse_machine(f"{head}\n# symbols\nalphabet{symbols}\n{rest}", "m")
+    assert (err.value.line, err.value.message) == (3, message)
+
+
 def test_missing_transition_message():
     text = (FIXTURES / "bad" / "fsm_missing_trans.aut").read_text()
     with pytest.raises(ParseError, match="missing transition"):

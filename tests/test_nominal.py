@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_equiv_rna, random_rna, reference_concat_orbit
+from helpers import (
+    brute_force_equiv_rna,
+    random_rna,
+    reference_concat_orbit,
+    reference_pair_configs,
+)
 from wmethod import (
     EPS_PATTERN,
     NotMinimalError,
@@ -27,7 +32,7 @@ from wmethod import (
     w_suite_rna,
     weak_cover_map_rna,
 )
-from wmethod.nominal import extension_choices, extend
+from wmethod.nominal import _pair_configs, extension_choices, extend
 
 P_ = SymbolicWord
 
@@ -308,6 +313,13 @@ def test_equiv_agrees_with_brute_force_random():
         if not res.equivalent:
             assert symbolic_run(a, res.counterexample)[1] != symbolic_run(b, res.counterexample)[1]
             assert len(res.counterexample) <= len(brute.counterexample)
+
+
+def test_pair_configs_match_the_reference():
+    rng = random.Random(12)
+    for _ in range(150):
+        a = random_rna(rng, max_locs=4, max_arity=3)
+        assert list(_pair_configs(a)) == list(reference_pair_configs(a))
 
 
 def test_rna_validation():

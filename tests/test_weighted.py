@@ -280,6 +280,24 @@ def test_equiv_agrees_with_brute_force_random():
             assert wa_lang(a, res.counterexample) != wa_lang(b, res.counterexample)
 
 
+def test_equiv_wa_counterexample_is_the_least_word():
+    # b is a with one matrix entry changed, so a difference, if any,
+    # usually shows only past the empty word
+    rng = random.Random(16)
+    lengths = set()
+    for _ in range(300):
+        a = random_wa(rng, max_dim=4, syms=rng.randint(1, 3))
+        mats = [[list(row) for row in m] for m in a.mats]
+        s, i, j = rng.randrange(len(mats)), rng.randrange(a.dim), rng.randrange(a.dim)
+        mats[s][i][j] += rng.choice([-1, 1, Fraction(1, 2)])
+        b = Wa(a.alphabet, a.dim, a.s0, tuple(mats), a.f)
+        res = equiv_wa(a, b)
+        assert res == brute_force_equiv_wa(a, b, a.dim + b.dim - 1)
+        if not res.equivalent:
+            lengths.add(len(res.counterexample))
+    assert {1, 2, 3} <= lengths
+
+
 def test_wa_validation():
     with pytest.raises(ValueError):
         Wa(AB, 2, (1,), (((1, 0), (0, 1)),) * 2, (0, 1))
