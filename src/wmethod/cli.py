@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .faultsim import MutationSpec, completeness_experiment
 from .family import family_of
@@ -199,6 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# main()'s parser, built on its first call rather than at import and then
+# reused: parse_args keeps no state in the parser between calls
+_parser = cache(build_parser)
+
 _COMMANDS = {
     "gen": cmd_gen,
     "run": cmd_run,
@@ -212,9 +217,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

@@ -14,6 +14,8 @@ call time, so a function patched into a module is the one that runs.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from . import formats as Fm
 from . import fsm as F
 from . import nominal as N
@@ -79,7 +81,7 @@ class _FsmFamily(_WordFamily):
     def is_charset(self, m: F.Fsm, w: Suite) -> bool:
         return w.contains_epsilon() and F.is_char_set(m, w)
 
-    def values(self, m: F.Fsm, t: Suite) -> list:
+    def values(self, m: F.Fsm, t: Suite) -> Iterator:
         return F.suite_values(m, t)
 
     def agree(self, spec: F.Fsm, impl: F.Fsm, t: Suite):
@@ -124,7 +126,7 @@ class _WaFamily(_WordFamily):
     def is_charset(self, m: W.Wa, w: Suite) -> bool:
         return W.is_char_set_wa(m, w)
 
-    def values(self, m: W.Wa, t: Suite) -> list:
+    def values(self, m: W.Wa, t: Suite) -> Iterator:
         return W.suite_values_wa(m, t)
 
     def agree(self, spec: W.Wa, impl: W.Wa, t: Suite):
@@ -169,7 +171,7 @@ class _RnaFamily:
     def read_suite(self, text: str, m: N.Rna, filename: str) -> N.OrbitSuite:
         return Fm.parse_patterns(text, filename)
 
-    def values(self, m: N.Rna, t: N.OrbitSuite) -> list:
+    def values(self, m: N.Rna, t: N.OrbitSuite) -> Iterator:
         return N.suite_values_rna(m, t)
 
     def agree(self, spec: N.Rna, impl: N.Rna, t: N.OrbitSuite):

@@ -6,6 +6,11 @@ mutant, and checks every survivor against the exact equivalence oracle.
 A surviving in-domain mutant that the oracle rejects would disprove
 completeness; the experiment fails in that case.
 
+The specification's values are computed once. A mutant's values are
+computed lazily, so each mutant runs the suite only up to its first
+differing word, the one the report names; a survivor runs every word.
+`run` (the agree path) still executes every word.
+
 Reports are plain text, ordered by mutant index, and byte-identical for
 identical mutation specs (the PRNG seed is part of the report header).
 """
@@ -268,9 +273,10 @@ def completeness_experiment(spec, k: int, ms: MutationSpec) -> ExperimentReport:
     fam = family_of(spec)
     _, p, w = fam.analyze(spec, False)
     suite = fam.suite(p, k, w)
-    expected = fam.values(spec, suite)
+    expected = list(fam.values(spec, suite))
     results = []
     for idx, (mut, in_domain) in enumerate(_mutants(fam.name, spec, k, ms, p)):
+        # the mutant's values are lazy: it runs only up to its first differing word
         got = fam.values(mut, suite)
         word = next((t for t, x, y in zip(suite, expected, got) if x != y), None)
         try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .words import (
     EPSILON,
@@ -288,10 +288,10 @@ def weak_cover_map(m: Fsm, p: Suite) -> dict[tuple[Word, int], Word]:
     return table
 
 
-def suite_values(m: Fsm, t: Suite) -> list:
-    """The language value of every suite word, in suite order."""
+def suite_values(m: Fsm, t: Suite) -> Iterator:
+    """The language value of every suite word, lazily, in suite order."""
     delta = m.delta
-    return [m.signature(q) for q in execute(t.plan, m.initial, lambda q, a: delta[q][a])]
+    return map(m.signature, execute(t.plan, m.initial, lambda q, a: delta[q][a]))
 
 
 def agree_on(spec: Fsm, impl: Fsm, t: Suite) -> list[Verdict]:

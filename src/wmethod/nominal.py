@@ -410,10 +410,11 @@ def agree_on_rna(spec: Rna, impl: Rna, t: OrbitSuite) -> list[Verdict]:
     return list(map(Verdict, t, suite_values_rna(spec, t), suite_values_rna(impl, t)))
 
 
-def suite_values_rna(a: Rna, t: OrbitSuite) -> list[bool]:
-    """Acceptance of the canonical instance of every pattern (see `symbolic_run`)."""
+def suite_values_rna(a: Rna, t: OrbitSuite) -> Iterator[bool]:
+    """Acceptance of the canonical instance of every pattern, lazily, in
+    suite order (see `symbolic_run`)."""
     states = execute(t.plan, (a.initial, ()), lambda st, x: _step(a, st[0], st[1], x))
-    return [loc in a.accepting for loc, _ in states]
+    return (loc in a.accepting for loc, _ in states)
 
 
 def _pair_bfs(

@@ -383,10 +383,10 @@ def equiv_wa(a: Wa, b: Wa) -> EquivResult:
     return EquivResult(True, None)
 
 
-def suite_values_wa(a: Wa, t: Suite) -> list[Fraction]:
-    """The exact value of every suite word, in suite order."""
+def suite_values_wa(a: Wa, t: Suite) -> Iterator[Fraction]:
+    """The exact value of every suite word, lazily, in suite order."""
     z = a._ints
-    return [z.value(state) for state in execute(t.plan, (z.s0, z.d0), z.step)]
+    return map(z.value, execute(t.plan, (z.s0, z.d0), z.step))
 
 
 def agree_on_wa(spec: Wa, impl: Wa, t: Suite) -> list[Verdict]:

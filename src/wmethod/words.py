@@ -161,11 +161,13 @@ def prefix_plan(words: Sequence[tuple]) -> Plan:
     return tuple(plan)
 
 
-def execute(plan: Plan, init: State, step: Callable[[State, object], State]) -> list[State]:
-    """The state reached by every planned word, in plan order.
+def execute(plan: Plan, init: State, step: Callable[[State, object], State]) -> Iterator[State]:
+    """Yield the state reached by every planned word, in plan order.
 
     Each word starts from the state of its planned prefix, so a symbol
-    shared with an earlier suite word is stepped only once.
+    shared with an earlier suite word is stepped only once. Every anchor
+    comes before its word in the plan, so the states are computed lazily:
+    a caller that stops at some word steps none of the later ones.
     """
     states: list[State] = []
     for parent, syms, start in plan:
@@ -173,7 +175,7 @@ def execute(plan: Plan, init: State, step: Callable[[State, object], State]) -> 
         for a in syms[start:]:
             s = step(s, a)
         states.append(s)
-    return states
+        yield s
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,19 @@ import sys
 import pytest
 
 from helpers import FIXTURES
+from wmethod import cli
 from wmethod.cli import main
-from wmethod.formats import parse_machine, parse_suite
-from wmethod import Alphabet, equiv
+from wmethod.formats import parse_machine, parse_suite, serialize_suite
+from wmethod import (
+    Alphabet,
+    MutationSpec,
+    char_set,
+    completeness_experiment,
+    equiv,
+    prefix_close,
+    state_cover,
+    w_suite,
+)
 from wmethod import fsm as fsm_module
 from wmethod import nominal as nominal_module
 from wmethod import weighted as weighted_module
@@ -454,3 +464,51 @@ def test_one_analysis_per_specification(tmp_path, monkeypatch, spec, command):
     code, _ = run_cli(*argv, str(FIXTURES / spec))
     assert code == 0
     assert counts == expected
+
+
+# --------------------------------------------- one parser for every main() call
+
+
+def test_parser_is_built_on_first_use_not_at_import():
+    code = "import wmethod.cli as c; print(c._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                         capture_output=True, check=True).stdout
+    assert out == "0\n"
+    run_cli("charset", COFFEE)
+    assert cli._parser.cache_info().currsize == 1
+    assert cli._parser() is cli._parser()
+
+
+def test_cached_parser_keeps_no_flag_between_calls(tmp_path):
+    # this W holds `e e e e` without its prefixes, so prefix-closing the suite adds words
+    charset = tmp_path / "w.txt"
+    charset.write_text("-eps-\nc\n1\ne e e e\n")
+    closed, plain = tmp_path / "closed.suite", tmp_path / "plain.suite"
+    head = ("gen", "--charset", str(charset))
+    assert run_cli(*head, "--prefix-closed", "-o", str(closed), COFFEE)[0] == 0
+    assert run_cli(*head, "-o", str(plain), COFFEE)[0] == 0
+    m = parse_machine((FIXTURES / "coffee.aut").read_text())
+    suite = w_suite(state_cover(m), m.alphabet, 0, parse_suite(charset.read_text(), m.alphabet))
+    assert plain.read_text() == serialize_suite(suite)
+    assert closed.read_text() == serialize_suite(prefix_close(suite)) != plain.read_text()
+
+
+def test_cached_parser_restores_the_default_seed():
+    argv = ("faultsim", "--mutants", "10", COFFEE)
+    code, seeded = run_cli("--seed", "5", *argv)
+    assert code == 0 and seeded.startswith("faultsim family fsm seed 5 ")
+    code, out = run_cli(*argv)
+    assert code == 0 and out.startswith("faultsim family fsm seed 0 ")
+    m = parse_machine((FIXTURES / "coffee.aut").read_text())
+    assert out == completeness_experiment(m, 0, MutationSpec(0, 10, 0)).render()
+
+
+@pytest.mark.parametrize(
+    "bad", [["gen", COFFEE], ["faultsim", "--k", "x", COFFEE], ["--seed"], ["frobnicate"]]
+)
+def test_usage_error_after_a_successful_call(bad):
+    ok = run_cli("charset", COFFEE)
+    assert ok[0] == 0
+    assert main(bad, out=io.StringIO()) == 2
+    assert run_cli("charset", COFFEE) == ok

@@ -157,11 +157,11 @@ def test_execute_steps_each_suite_prefix_once(seed, with_eps):
         assert start == longest
         assert parent == (index[syms[:start]] if start else -1)
     calls, step = counting_step()
-    assert execute(t.plan, (), step) == [w.syms for w in t]
+    assert list(execute(t.plan, (), step)) == [w.syms for w in t]
     assert calls[0] <= sum(len(w) for w in t)
     closed = prefix_close(t)
     calls, step = counting_step()
-    assert execute(closed.plan, (), step) == [w.syms for w in closed]
+    assert list(execute(closed.plan, (), step)) == [w.syms for w in closed]
     assert calls[0] == sum(1 for w in closed if w.syms)
 
 
@@ -175,7 +175,7 @@ def test_execute_long_word_is_linear():
         calls[0] += 1
         return state + 1
 
-    assert execute(Suite(AB, (word,)).plan, 0, step) == [10**5]
+    assert list(execute(Suite(AB, (word,)).plan, 0, step)) == [10**5]
     assert calls[0] == 10**5
     assert time.perf_counter() - t0 < 1.0
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import load, random_minimal_fsm
+from helpers import load, random_minimal_fsm, random_minimal_rna, random_minimal_wa
 from wmethod import (
     MutationSpec,
     NotMinimalError,
@@ -28,8 +28,11 @@ from wmethod import (
     w_suite_rna,
     weak_cover_map_rna,
 )
+from wmethod import fsm as fsm_module
+from wmethod import nominal as nominal_module
+from wmethod import weighted as weighted_module
 from wmethod.family import family_of
-from wmethod.faultsim import redirect_transition, set_output
+from wmethod.faultsim import _mutants, redirect_transition, set_output
 
 
 def test_redirect_reproduces_known_faults(coffee, coffee_i1, coffee_i2):
@@ -115,26 +118,84 @@ def test_experiment_unsupported_type():
         completeness_experiment(object(), 0, MutationSpec(0, 1, 1))
 
 
-@pytest.mark.parametrize(
-    "name, k", [("coffee_mealy.aut", 1), ("binary_value.wa", 1), ("same_twice.rna", 0)]
-)
-def test_killed_by_is_first_failing_verdict(name, k):
-    # the experiment runs the specification once and compares values; the
-    # word it reports must be the first failing verdict of the agree path
-    spec = load(name)
+def _assert_killed_by_is_first_failing_verdict(spec, k, ms):
+    # the experiment runs the specification once and compares values up to
+    # each mutant's first difference; the word it reports must be the first
+    # failing verdict of the agree path, which executes every word
     fam = family_of(spec)
-    ms = MutationSpec(k, 30, 17)
-    suite = fam.suite(fam.cover(spec), k, fam.charset(spec))
-    mutants = {
-        "fsm": lambda: gen_mutants_fsm(spec, ms),
-        "wa": lambda: gen_mutants_wa(spec, ms, fam.cover(spec), k),
-        "rna": lambda: gen_mutants_rna(spec, ms, fam.cover(spec)),
-    }[fam.name]()
+    _, p, w = fam.analyze(spec, False)
+    suite = fam.suite(p, k, w)
+    mutants = [m for m, _ in _mutants(fam.name, spec, k, ms, p)]
     report = completeness_experiment(spec, k, ms)
     assert len(report.results) == len(mutants)
     for r, mut in zip(report.results, mutants):
         failed = [v.word for v in fam.agree(spec, mut, suite) if not v.passed]
         assert r.killed_by == (fam.render(failed[0], spec) if failed else None)
+    return report
+
+
+FIXTURE_EXPERIMENTS = [("coffee_mealy.aut", 1), ("binary_value.wa", 1), ("same_twice.rna", 0)]
+
+
+@pytest.mark.parametrize("name, k", FIXTURE_EXPERIMENTS)
+def test_killed_by_is_first_failing_verdict(name, k):
+    _assert_killed_by_is_first_failing_verdict(load(name), k, MutationSpec(k, 30, 17))
+
+
+@pytest.mark.parametrize(
+    "make", [random_minimal_fsm, random_minimal_wa, random_minimal_rna], ids=["fsm", "wa", "rna"]
+)
+def test_killed_by_is_first_failing_verdict_random_specs(make):
+    rng = random.Random(4321)
+    killed = 0
+    for i in range(16):
+        k = i % 2
+        report = _assert_killed_by_is_first_failing_verdict(make(rng), k, MutationSpec(k, 12, i))
+        killed += sum(r.killed_by is not None for r in report.results)
+    assert killed > 0
+
+
+def _steps(plan, n: int) -> int:
+    """Steps that executing the first n words of a plan takes."""
+    return sum(len(syms) - start for _, syms, start in plan[:n])
+
+
+@pytest.mark.parametrize("name, k", FIXTURE_EXPERIMENTS)
+def test_killed_mutant_stops_at_its_first_failing_word(monkeypatch, name, k):
+    spec = load(name)
+    fam = family_of(spec)
+    _, p, w = fam.analyze(spec, False)
+    suite = fam.suite(p, k, w)
+    runs = []  # the steps of each execution of the suite's plan, in call order
+
+    def counting(real):
+        def execute(plan, init, step):
+            if plan != suite.plan:
+                return real(plan, init, step)
+            runs.append(0)
+            i = len(runs) - 1
+
+            def counted(state, a):
+                runs[i] += 1
+                return step(state, a)
+
+            return real(plan, init, counted)
+
+        return execute
+
+    for module in (fsm_module, weighted_module, nominal_module):
+        monkeypatch.setattr(module, "execute", counting(module.execute))
+    report = completeness_experiment(spec, k, MutationSpec(k, 30, 17))
+    full = _steps(suite.plan, len(suite))
+    assert len(runs) == 1 + len(report.results)
+    assert runs[0] == full  # the specification's values: the whole suite
+    words = [fam.render(t, spec) for t in suite]
+    for r, steps in zip(report.results, runs[1:]):
+        if r.killed_by is None:
+            assert steps == full
+        else:
+            assert steps == _steps(suite.plan, words.index(r.killed_by) + 1)
+    assert any(steps < full for steps in runs[1:])
 
 
 def test_wa_mutants_stay_in_domain(binary_wa):
