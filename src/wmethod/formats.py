@@ -3,7 +3,8 @@
 One file describes one machine. Lines hold whitespace-separated tokens;
 blank lines and lines starting with `#` are ignored. The first directive
 must be `kind dfa|moore|mealy|wa|rna`, which selects the family. Errors
-carry the offending line number and are never repaired silently.
+carry the offending line number and are never repaired silently. Word
+and pattern suite files go through one prefix reader (`_read_suite`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import re
 from fractions import Fraction
 
 from .fsm import Fsm
-from .nominal import EPS_PATTERN, OrbitSuite, Rna, SymbolicWord, X_SOURCE
+from .nominal import OrbitSuite, Rna, SymbolicWord, X_SOURCE
 from .weighted import Wa
 from .words import EPS_TOKEN, Alphabet, Suite, Word, prefix_walk
 
@@ -421,25 +422,25 @@ def _serialize_rna(m: Rna) -> str:
 # --------------------------------------------------------------- suite files
 
 
-def serialize_suite(t: Suite | OrbitSuite) -> str:
+def serialize_suite(t: Suite) -> str:
     """One word (or pattern) per line, `-eps-` for the empty one."""
-    if not isinstance(t, (Suite, OrbitSuite)):
+    if not isinstance(t, Suite):
         raise TypeError(f"cannot serialize {type(t).__name__}")
     return "".join(line + "\n" for line in t.lines())
 
 
-def parse_suite(text: str, alphabet: Alphabet, filename: str = "<string>") -> Suite:
-    """A word suite file: one word per line, its symbols named by the alphabet.
+def _read_suite(text: str, filename: str, lookup, make, checks) -> tuple:
+    """(items, lines, plan) of a suite file with one item per line, read by prefix.
 
-    The lines are read by prefix. Each normalized line (tokens joined by
-    single spaces) is anchored at its longest proper prefix among the
-    lines (`prefix_walk` over the sorted texts), and only the tokens after
-    the anchor's text are looked up. Symbol names are printable and hold
-    no space, so a line's token-level extensions sort right after it and
-    the anchors are exactly the longest prefix words: the walk also gives
-    the execution plan. A file already in canonical order is taken as it
-    is, with its lines and plan kept; any other file is deduplicated and
-    sorted.
+    Each normalized line (tokens joined by single spaces) is anchored at
+    its longest proper prefix among the lines (`prefix_walk` over the
+    sorted texts), and only the tokens after the anchor's text go through
+    `lookup`; `make` builds each item from its symbols. Tokens are
+    printable and hold no space, so a line's token-level extensions sort
+    right after it and the anchors are exactly the longest prefix items:
+    the walk also gives the execution plan. If a lookup or an item fails,
+    each line check in turn runs over the file in order, and the first
+    line one rejects is reported.
     """
     nos, lines = [], []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -451,44 +452,52 @@ def parse_suite(text: str, alphabet: Alphabet, filename: str = "<string>") -> Su
             lines.append(raw)
     keys = ["" if line == EPS_TOKEN else line for line in lines]
     anchors, order = prefix_walk(keys, " ")
-    index = alphabet._index.__getitem__
     syms: list = [()] * len(keys)
     plan: list = [None] * len(keys)
     try:
         for i in order:
             a = anchors[i]
-            if a < 0:
-                w = tuple(map(index, keys[i].split()))
-                plan[i] = (a, w, 0)
-            else:
-                base = syms[a]
-                w = base + tuple(map(index, keys[i][len(keys[a]) + 1 :].split()))
-                plan[i] = (a, w, len(base))
-            syms[i] = w
-    except KeyError:
-        # report the first bad line of the file, as a line-by-line read would
-        for no, key in zip(nos, keys):
-            try:
-                alphabet.word(*key.split())
-            except ValueError as e:
-                raise ParseError(filename, no, str(e)) from e
+            base, cut = (syms[a], len(keys[a]) + 1) if a >= 0 else ((), 0)
+            syms[i] = w = base + tuple(map(lookup, keys[i][cut:].split()))
+            plan[i] = (a, w, len(base))
+        items = tuple(map(make, syms))
+    except (KeyError, ValueError):
+        for check in checks:
+            for no, key in zip(nos, keys):
+                try:
+                    check(key.split())
+                except ValueError as e:
+                    raise ParseError(filename, no, str(e)) from e
         raise
-    return Suite(alphabet, tuple(map(Word, syms)), tuple(lines), tuple(plan))
+    return items, tuple(lines), tuple(plan)
+
+
+def parse_suite(text: str, alphabet: Alphabet, filename: str = "<string>") -> Suite:
+    """A word suite file: one word per line, its symbols named by the
+    alphabet. A file in canonical order keeps its lines and plan."""
+    check = [lambda toks: alphabet.word(*toks)]
+    return Suite(alphabet, *_read_suite(text, filename, alphabet._index.__getitem__, Word, check))
+
+
+def _class(tok: str) -> int:
+    """A pattern class, written as it renders: ASCII digits, no sign, no leading zero."""
+    if tok.isascii() and tok.isdigit() and (tok[0] != "0" or tok == "0"):
+        return int(tok)
+    raise ValueError(f"pattern class {tok!r} is not a plain decimal numeral")
+
+
+def _pattern(toks: list[str]) -> SymbolicWord:
+    """A line's classes as int() reads them, checked to be canonical."""
+    try:
+        classes = tuple(map(int, toks))
+    except ValueError:
+        raise ValueError(f"pattern classes must be integers: {toks}") from None
+    return SymbolicWord(classes)
 
 
 def parse_patterns(text: str, filename: str = "<string>") -> OrbitSuite:
-    """A pattern suite file: one orbit pattern per line, as class numbers."""
-    pats = []
-    for no, toks in _directives(text):
-        if toks == [EPS_TOKEN]:
-            pats.append(EPS_PATTERN)
-            continue
-        try:
-            classes = tuple(map(int, toks))
-        except ValueError:
-            raise ParseError(filename, no, f"pattern classes must be integers: {toks}") from None
-        try:
-            pats.append(SymbolicWord(classes))
-        except ValueError as e:
-            raise ParseError(filename, no, str(e)) from e
-    return OrbitSuite(tuple(pats))
+    """A pattern suite file: one orbit pattern per line, as class numbers.
+    Classes that are not integers or not canonical are reported before
+    one that is not a plain numeral. A canonical file keeps its lines and plan."""
+    checks = [_pattern, lambda toks: list(map(_class, toks))]
+    return OrbitSuite(*_read_suite(text, filename, _class, SymbolicWord, checks))

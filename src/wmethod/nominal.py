@@ -9,26 +9,26 @@ automata for the equality symmetry; acceptance is invariant under
 permuting atoms, so a test suite only needs one representative per orbit
 of data words. An orbit of words is represented by its equality pattern:
 positions labelled 1, 2, ... by first occurrence (the empty pattern for
-the empty word).
+the empty word). A suite of patterns is a `words.Suite` (`OrbitSuite`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, count, permutations
+from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
 
 from .words import (
     EPS_TOKEN,
     EquivResult,
     NotMinimalError,
-    Plan,
+    Suite,
     Verdict,
-    canonical,
+    check_w_inputs,
     execute,
-    prefix_plan,
+    sequences_upto,
 )
 
 Atom = int
@@ -93,40 +93,24 @@ class SymbolicWord:
 EPS_PATTERN = SymbolicWord(())
 
 
-@dataclass(frozen=True)
-class OrbitSuite:
-    """A deduplicated set of orbit patterns in canonical order."""
+class OrbitSuite(Suite):
+    """A deduplicated set of orbit patterns in canonical order: a `Suite`
+    whose items are SymbolicWords, over the atoms rather than a finite
+    alphabet (`alphabet` is None)."""
 
-    patterns: tuple[SymbolicWord, ...] = ()
+    _seq = attrgetter("pattern")
 
-    def __post_init__(self):
-        pats = tuple(self.patterns)
-        object.__setattr__(self, "patterns", canonical(pats, [s.pattern for s in pats]))
+    def __init__(self, patterns=(), texts=None, planned=None):
+        super().__init__(None, patterns, texts, planned)
 
-    def __len__(self) -> int:
-        return len(self.patterns)
+    def _check(self, seqs: list[tuple]) -> None:
+        pass  # every SymbolicWord checked its pattern when it was made
 
-    def __iter__(self) -> Iterator[SymbolicWord]:
-        return iter(self.patterns)
+    _render = staticmethod(SymbolicWord.render)
 
-    @cached_property
-    def _member_set(self) -> frozenset[SymbolicWord]:
-        return frozenset(self.patterns)
-
-    def __contains__(self, s: SymbolicWord) -> bool:
-        return s in self._member_set
-
-    def contains_epsilon(self) -> bool:
-        return EPS_PATTERN in self._member_set
-
-    @cached_property
-    def plan(self) -> Plan:
-        """The prefix-sharing execution plan of the canonical instances."""
-        return prefix_plan([s.pattern for s in self.patterns])
-
-    def lines(self) -> Iterator[str]:
-        """The rendering of every pattern, in suite order: one suite-file line each."""
-        return (s.render() for s in self.patterns)
+    @property
+    def patterns(self) -> tuple[SymbolicWord, ...]:
+        return self.words
 
 
 @dataclass(frozen=True)
@@ -286,20 +270,10 @@ def concat_orbit(a: OrbitSuite, b: OrbitSuite) -> OrbitSuite:
 
 
 def patterns_upto(k: int) -> OrbitSuite:
-    """All orbit patterns of length at most k."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    acc = [EPS_PATTERN]
-    layer: list[tuple[int, ...]] = [()]
-    for _ in range(k):
-        nxt = []
-        for p in layer:
-            top = max(p, default=0)
-            for c in range(1, top + 2):
-                nxt.append(p + (c,))
-        acc.extend(SymbolicWord(p) for p in nxt)
-        layer = nxt
-    return OrbitSuite(tuple(acc))
+    """All orbit patterns of length at most k: a pattern with m classes
+    extends by each class 1..m and by the fresh class m+1."""
+    pats = sequences_upto(k, lambda p: range(1, max(p, default=0) + 2))
+    return OrbitSuite(tuple(map(SymbolicWord._trusted, pats)))
 
 
 FRESH = None  # extension choice: a letter distinct from all classes of the pattern
@@ -395,12 +369,7 @@ def weak_cover_map_rna(
 
 def w_suite_rna(p: OrbitSuite, k: int, w: OrbitSuite) -> OrbitSuite:
     """Orbit version of the W test suite: P . A^{<=k+1} . W."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if not p.contains_epsilon():
-        raise ValueError("P must contain the empty pattern")
-    if not w.contains_epsilon():
-        raise ValueError("W must contain the empty pattern")
+    check_w_inputs(p, k, w)
     return concat_orbit(concat_orbit(p, patterns_upto(k + 1)), w)
 
 

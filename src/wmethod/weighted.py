@@ -261,13 +261,15 @@ def backward_basis(a: Wa) -> VecSpaceBasis:
 
 
 def is_state_cover_wa(a: Wa, p: Suite) -> bool:
-    """Does {M(w) s0 | w in p} span the whole state space (and eps in p)?"""
+    """Does {M(w) s0 | w in p} span the whole state space (and eps in p)?
+    The words are stepped only until the rank reaches dim."""
     if not p.contains_epsilon():
         return False
     z = a._ints
     ech = _Echelon()
     for v, _ in execute(p.plan, (z.s0, z.d0), z.step):
-        ech.add(v)
+        if ech.add(v) and ech.rank == a.dim:
+            return True
     return ech.rank == a.dim
 
 

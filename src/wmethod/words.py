@@ -2,7 +2,10 @@
 
 Suites are always kept deduplicated and in canonical order
 (length-lexicographic by symbol index), so generated files are
-diff-stable and set-level operations behave deterministically.
+diff-stable and set-level operations behave deterministically. Orbit
+suites (`nominal.OrbitSuite`) are Suites too: they override only how an
+item's symbols are read (`_seq`), checked (`_check`) and rendered
+(`_render`), and share the A^{<=k} enumeration and the W preconditions.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import lt
+from operator import attrgetter, lt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 EPS_TOKEN = "-eps-"
@@ -197,18 +200,26 @@ class Suite:
     texts: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
     planned: Plan | None = field(default=None, compare=False, repr=False)
 
+    _seq = attrgetter("syms")
+
     def __post_init__(self):
         words = tuple(self.words)
-        seqs = [w.syms for w in words]
-        valid = range(len(self.alphabet))
-        if not set(chain.from_iterable(seqs)).issubset(valid):
-            bad = next(s for syms in seqs for s in syms if s not in valid)
-            raise ValueError(f"symbol index {bad} out of range for alphabet of size {len(valid)}")
+        seqs = list(map(self._seq, words))
+        self._check(seqs)
         canon = canonical(words, seqs)
         object.__setattr__(self, "words", canon)
         if canon is not words:
             object.__setattr__(self, "texts", None)
             object.__setattr__(self, "planned", None)
+
+    def _check(self, seqs: list[tuple]) -> None:
+        valid = range(len(self.alphabet))
+        if not set(chain.from_iterable(seqs)).issubset(valid):
+            bad = next(s for syms in seqs for s in syms if s not in valid)
+            raise ValueError(f"symbol index {bad} out of range for alphabet of size {len(valid)}")
+
+    def _render(self, w: Word) -> str:
+        return w.render(self.alphabet)
 
     @classmethod
     def of(cls, alphabet: Alphabet, words: Iterable[Word | tuple[int, ...]]) -> "Suite":
@@ -232,20 +243,21 @@ class Suite:
         return w in self._member_set
 
     def contains_epsilon(self) -> bool:
-        return EPSILON in self._member_set
+        # the empty word sorts first
+        return bool(self.words) and len(self.words[0]) == 0
 
     @cached_property
     def plan(self) -> Plan:
         """The prefix-sharing execution plan of the words (see `prefix_plan`)."""
         if self.planned is not None:
             return self.planned
-        return prefix_plan([w.syms for w in self.words])
+        return prefix_plan(list(map(self._seq, self.words)))
 
     def lines(self) -> Iterable[str]:
         """The rendering of every word, in suite order: one suite-file line each."""
         if self.texts is not None:
             return self.texts
-        return (w.render(self.alphabet) for w in self.words)
+        return map(self._render, self.words)
 
 
 @dataclass(frozen=True)
@@ -277,18 +289,23 @@ class Verdict(NamedTuple):
         return self.spec_out == self.impl_out
 
 
-def words_upto(alphabet: Alphabet, k: int) -> Suite:
-    """All words of length at most k, in canonical order."""
+def sequences_upto(k: int, letters: Callable[[tuple], Iterable]) -> list[tuple]:
+    """All sequences of length at most k, in canonical order, built layer by
+    layer: sequence s extends by each of letters(s), in ascending order."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n = len(alphabet)
-    out: list[Word] = []
-    layer: list[tuple[int, ...]] = [()]
-    out.append(EPSILON)
+    out: list[tuple] = [()]
+    layer: list[tuple] = [()]
     for _ in range(k):
-        layer = [w + (a,) for w in layer for a in range(n)]
-        out.extend(Word(w) for w in layer)
-    return Suite(alphabet, tuple(out))
+        layer = [s + (a,) for s in layer for a in letters(s)]
+        out += layer
+    return out
+
+
+def words_upto(alphabet: Alphabet, k: int) -> Suite:
+    """All words of length at most k, in canonical order."""
+    letters = range(len(alphabet))
+    return Suite(alphabet, tuple(map(Word, sequences_upto(k, lambda _: letters))))
 
 
 def concat_suites(a: Suite, b: Suite) -> Suite:
@@ -298,20 +315,20 @@ def concat_suites(a: Suite, b: Suite) -> Suite:
     return Suite(a.alphabet, tuple(u + v for u in a for v in b))
 
 
-def w_suite(p: Suite, alphabet: Alphabet, k: int, w: Suite) -> Suite:
-    """The W test suite of order k: P . Sigma^{<=k+1} . W.
-
-    Both P and W must contain the empty word; a state cover and a
-    characterization set always do.
-    """
+def check_w_inputs(p: Suite, k: int, w: Suite) -> None:
+    """The W suite's preconditions, for words and orbit patterns: k >= 0 and
+    the empty word in P and in W (a state cover and a char set hold it)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if len(p) == 0 or len(w) == 0:
-        raise ValueError("P and W must be nonempty")
     if not p.contains_epsilon():
         raise ValueError("P must contain the empty word")
     if not w.contains_epsilon():
         raise ValueError("W must contain the empty word")
+
+
+def w_suite(p: Suite, alphabet: Alphabet, k: int, w: Suite) -> Suite:
+    """The W test suite of order k: P . Sigma^{<=k+1} . W."""
+    check_w_inputs(p, k, w)
     return concat_suites(concat_suites(p, words_upto(alphabet, k + 1)), w)
 
 

@@ -293,6 +293,31 @@ def reference_parse_suite(text: str, alphabet: Alphabet, filename: str = "<strin
     return Suite(alphabet, tuple(words), tuple(lines))
 
 
+def reference_parse_patterns(text: str, filename: str = "<string>") -> N.OrbitSuite:
+    """The line-by-line pattern reader: every token of every line read by int().
+    Unlike parse_patterns it takes any spelling int() does, such as `01` or `+1`."""
+    from wmethod.formats import ParseError
+
+    pats, lines = [], []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split()
+        if not toks or toks[0].startswith("#"):
+            continue
+        lines.append(" ".join(toks))
+        if toks == [EPS_TOKEN]:
+            pats.append(N.EPS_PATTERN)
+            continue
+        try:
+            classes = tuple(map(int, toks))
+        except ValueError:
+            raise ParseError(filename, no, f"pattern classes must be integers: {toks}") from None
+        try:
+            pats.append(N.SymbolicWord(classes))
+        except ValueError as e:
+            raise ParseError(filename, no, str(e)) from e
+    return N.OrbitSuite(tuple(pats), tuple(lines))
+
+
 def brute_force_equiv(a: Fsm, b: Fsm, max_len: int) -> EquivResult:
     """Compare language values on every word of length <= max_len."""
     if a.kind != b.kind or a.alphabet != b.alphabet:

@@ -19,6 +19,7 @@ from wmethod import (
     state_cover,
     w_suite,
 )
+from wmethod import formats as formats_module
 from wmethod import fsm as fsm_module
 from wmethod import nominal as nominal_module
 from wmethod import weighted as weighted_module
@@ -512,3 +513,30 @@ def test_usage_error_after_a_successful_call(bad):
     assert ok[0] == 0
     assert main(bad, out=io.StringIO()) == 2
     assert run_cli("charset", COFFEE) == ok
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--k", "1", "-o", "{out}", COFFEE],
+        ["run", COFFEE, I1, "{out}"],
+        ["equiv", COFFEE, I2],
+        ["--seed", "1", "faultsim", "--mutants", "5", COFFEE],
+        ["gen", "--k", "1", "-o", "{out}", WA],
+        ["run", WA, WA_BAD, "{out}"],
+        ["--seed", "1", "faultsim", "--mutants", "5", WA],
+    ],
+)
+def test_fsm_and_wa_commands_stay_off_the_orbit_path(tmp_path, monkeypatch, argv):
+    suite = tmp_path / "s.suite"
+    spec = argv[-1] if argv[0] != "run" else argv[1]
+    assert main(["gen", "--k", "1", "-o", str(suite), spec], out=io.StringIO()) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an orbit-pattern function ran for a word family")
+
+    for name in ("w_suite_rna", "concat_orbit", "patterns_upto"):
+        monkeypatch.setattr(nominal_module, name, forbidden)
+    monkeypatch.setattr(formats_module, "parse_patterns", forbidden)
+    argv = [str(suite) if a == "{out}" else a for a in argv]
+    assert main(argv, out=io.StringIO()) in (0, 1)

@@ -1,11 +1,20 @@
 import random
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FIXTURES, load, random_fsm, random_rna, random_wa, reference_parse_suite
+from helpers import (
+    FIXTURES,
+    load,
+    random_fsm,
+    random_rna,
+    random_wa,
+    reference_parse_patterns,
+    reference_parse_suite,
+)
 from wmethod import (
     Alphabet,
     EPS_PATTERN,
@@ -17,9 +26,11 @@ from wmethod import (
     parse_machine,
     parse_patterns,
     parse_suite,
+    patterns_upto,
     serialize_machine,
     serialize_suite,
 )
+from wmethod.cli import main
 from wmethod.words import prefix_plan
 
 GOOD_FIXTURES = [
@@ -228,6 +239,122 @@ def test_pattern_parse_errors():
     with pytest.raises(ParseError, match="canonical") as err:
         parse_patterns("-eps-\n# c\n1 2\n1 3\n")
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "text, line, token",
+    [
+        ("-eps-\n01 1\n", 2, "01"),
+        ("+1\n", 1, "+1"),
+        ("1\n1 2 3 4 5 6 7 8 9 1_0\n", 2, "1_0"),
+        ("1 1\n\u0661\n", 2, "\u0661"),
+    ],
+)
+def test_pattern_classes_are_plain_numerals(tmp_path, capsys, text, line, token):
+    # int() reads each of these as a class; echoed as written, they would
+    # not be the pattern's rendering
+    reference_parse_patterns(text)
+    with pytest.raises(ParseError) as err:
+        parse_patterns(text, "t.suite")
+    assert err.value.line == line
+    assert err.value.message == f"pattern class {token!r} is not a plain decimal numeral"
+    (tmp_path / "t.suite").write_text(text, encoding="utf-8")
+    rna = str(FIXTURES / "same_twice.rna")
+    assert main(["run", rna, rna, str(tmp_path / "t.suite")]) == 2
+    assert f"t.suite:{line}: pattern class {token!r}" in capsys.readouterr().err
+
+
+def test_pattern_errors_before_the_numeral_rule_keep_their_text():
+    # a line that int() or SymbolicWord rejects is reported even after a
+    # line that only the numeral rule rejects
+    for text, line, message in [
+        ("1 x\n", 1, "pattern classes must be integers: ['1', 'x']"),
+        ("2 1\n", 1, "pattern (2, 1) is not canonical: classes must be numbered by first occurrence"),
+        ("01\n00\n", 2, "pattern (0,) is not canonical: classes must be numbered by first occurrence"),
+        ("+1\n-1 x\n", 2, "pattern classes must be integers: ['-1', 'x']"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_patterns(text)
+        assert (err.value.line, err.value.message) == (line, message)
+
+
+# tokens that int() reads but that are not plain numerals
+ODD_NUMERALS = ("01", "+1", "1_0", "\u0661", "00", "-1", "0")
+
+
+@st.composite
+def pattern_files(draw):
+    good = [s.render() for s in patterns_upto(3)]
+    bad = ["2 1", "1 3", "1 x", "x", "-eps- 1", "1 -eps-", "0"]
+    lines = draw(st.lists(st.sampled_from(good), max_size=10))
+    lines = [s for s in dict.fromkeys(lines)]  # distinct, in drawn order
+    if draw(st.booleans()):
+        lines.sort(key=lambda t: (0, ()) if t == "-eps-" else (len(t.split()), t.split()))
+    if draw(st.booleans()):
+        lines += draw(st.lists(st.sampled_from(good), max_size=3))
+        lines = draw(st.permutations(lines))
+    lines = [line.split() for line in lines]
+    if lines and draw(st.integers(0, 3)) == 0:  # an invalid pattern somewhere
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(bad)).split())
+    if lines and draw(st.integers(0, 4)) == 0:  # a class spelled oddly
+        toks = draw(st.sampled_from(lines))
+        if toks and toks != ["-eps-"]:
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(ODD_NUMERALS))
+    out = []
+    for toks in lines:
+        lead, trail = draw(st.sampled_from(("", *SEPARATORS))), draw(st.sampled_from(("", *SEPARATORS)))
+        body = toks[0] if toks else ""
+        for tok in toks[1:]:
+            body += draw(st.sampled_from(SEPARATORS)) + tok
+        out.append(lead + body + trail)
+        out += draw(st.lists(st.sampled_from(("", "  ", "# note", "\t# 1 2", "#1")), max_size=1))
+    return "\n".join(out) + draw(st.sampled_from(("", "\n", "\r\n")))
+
+
+def _plain(tok: str) -> bool:
+    return tok == "-eps-" or re.fullmatch("0|[1-9][0-9]*", tok) is not None
+
+
+@given(pattern_files())
+@settings(max_examples=300)
+def test_parse_patterns_matches_the_line_by_line_reader(text):
+    try:
+        expected = reference_parse_patterns(text, "t.suite")
+    except ParseError as e:
+        with pytest.raises(ParseError) as err:
+            parse_patterns(text, "t.suite")
+        assert (err.value.line, err.value.message) == (e.line, e.message)
+        return
+    odd = [
+        (no, tok)
+        for no, raw in enumerate(text.splitlines(), start=1)
+        if raw.split() and not raw.split()[0].startswith("#")
+        for tok in raw.split()
+        if not _plain(tok)
+    ]
+    if odd:
+        no, tok = odd[0]
+        with pytest.raises(ParseError) as err:
+            parse_patterns(text, "t.suite")
+        assert (err.value.line, err.value.message) == (
+            no,
+            f"pattern class {tok!r} is not a plain decimal numeral",
+        )
+        return
+    got = parse_patterns(text, "t.suite")
+    assert got.patterns == expected.patterns
+    assert got.texts == expected.texts  # kept exactly when the file is canonical
+    assert (got.planned is None) == (got.texts is None)
+    assert got.plan == prefix_plan([s.pattern for s in got])
+
+
+def test_canonical_pattern_file_keeps_its_lines_and_plan():
+    text = (FIXTURES.parent / "tests" / "golden" / "gen-k1.same_twice.rna.suite").read_text()
+    got = parse_patterns(text)
+    assert got.texts == tuple(text.splitlines())
+    assert got.planned is not None
+    assert got.plan == prefix_plan([s.pattern for s in got])
+    assert serialize_suite(got) == text
 
 
 def test_serialize_machine_is_canonical(coffee):

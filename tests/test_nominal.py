@@ -11,10 +11,13 @@ from helpers import (
     reference_pair_configs,
 )
 from wmethod import (
+    EPSILON,
     EPS_PATTERN,
+    Alphabet,
     NotMinimalError,
     OrbitSuite,
     Rna,
+    Suite,
     SymbolicWord,
     agree_on_rna,
     char_set_rna,
@@ -29,9 +32,13 @@ from wmethod import (
     state_cover_rna,
     symbolic_run,
     verify_weak_cover_rna,
+    w_suite,
     w_suite_rna,
     weak_cover_map_rna,
 )
+from wmethod import formats as formats_module
+from wmethod import nominal as nominal_module
+from wmethod import words as words_module
 from wmethod.nominal import _pair_configs, extension_choices, extend
 
 P_ = SymbolicWord
@@ -365,3 +372,69 @@ def test_equiv_result_is_shared(same_twice):
 
     assert RnaEquivResult is EquivResult
     assert equiv_rna(same_twice, same_twice) == EquivResult(True, None)
+
+
+def test_orbit_suite_is_a_suite_with_its_own_items():
+    assert issubclass(OrbitSuite, Suite)
+    for name in ("__len__", "__iter__", "_member_set", "__contains__", "contains_epsilon", "plan"):
+        assert name not in vars(OrbitSuite)
+    assert not OrbitSuite(()).contains_epsilon()
+    assert OrbitSuite((EPS_PATTERN,)).contains_epsilon()
+    assert not OrbitSuite((P_((1,)), P_((1, 1)))).contains_epsilon()
+
+
+def test_orbit_suite_equality_and_lines_with_and_without_texts():
+    pats = (EPS_PATTERN, P_((1,)), P_((1, 2)))
+    plain = OrbitSuite(pats)
+    kept = OrbitSuite(pats, ("-eps-", "1", "1 2"))
+    assert kept.texts is not None and plain.texts is None
+    assert kept == plain and hash(kept) == hash(plain)
+    assert list(kept.lines()) == list(plain.lines()) == ["-eps-", "1", "1 2"]
+    assert kept.patterns == plain.patterns == pats
+    # texts in any other order are dropped, and the lines rendered again
+    shuffled = OrbitSuite(pats[::-1], ("1 2", "1", "-eps-"))
+    assert shuffled.texts is None and shuffled == plain
+    assert list(shuffled.lines()) == ["-eps-", "1", "1 2"]
+    assert OrbitSuite(pats) != Suite(Alphabet(("a",)), ())
+    assert OrbitSuite(()) != OrbitSuite((EPS_PATTERN,))
+
+
+def test_w_suite_inputs_are_checked_alike_for_both_kinds():
+    ab = Alphabet(("a",))
+    kinds = [
+        (
+            lambda p, k, w: w_suite(p, ab, k, w),
+            Suite(ab, (EPSILON,)),
+            Suite(ab, (ab.word("a"),)),
+            Suite(ab, ()),
+        ),
+        (w_suite_rna, OrbitSuite((EPS_PATTERN,)), OrbitSuite((P_((1,)),)), OrbitSuite(())),
+    ]
+    for build, eps, no_eps, empty in kinds:
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            build(eps, -1, eps)
+        for p in (no_eps, empty):
+            with pytest.raises(ValueError, match="P must contain the empty word"):
+                build(p, 0, eps)
+            with pytest.raises(ValueError, match="W must contain the empty word"):
+                build(eps, 0, p)
+
+
+def test_tracer_names_stay_distinct_functions():
+    # the benchmark's tracer wraps each of these by name; one function
+    # bound to two names would put one family's time in the other's layer
+    names = [
+        (words_module, "w_suite"),
+        (words_module, "concat_suites"),
+        (words_module, "words_upto"),
+        (words_module, "prefix_close"),
+        (nominal_module, "w_suite_rna"),
+        (nominal_module, "concat_orbit"),
+        (nominal_module, "patterns_upto"),
+        (formats_module, "parse_suite"),
+        (formats_module, "parse_patterns"),
+        (formats_module, "serialize_suite"),
+    ]
+    fns = [getattr(module, name) for module, name in names]
+    assert all(callable(fn) for fn in fns)
+    assert len({id(fn) for fn in fns}) == len(fns)

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_equiv_wa, random_minimal_wa, random_wa, reference_minimize_wa
+from helpers import (
+    brute_force_equiv_wa,
+    fraction_rank,
+    fraction_state,
+    load,
+    random_minimal_wa,
+    random_wa,
+    reference_minimize_wa,
+)
+from wmethod import weighted as weighted_module
+from wmethod.faultsim import MutationSpec, completeness_experiment
 from wmethod import (
     EPSILON,
     Alphabet,
@@ -329,3 +339,45 @@ def test_fault_domain_theorem_small():
     w = Suite(spec.alphabet, backward_basis(spec).witnesses)
     assert all(v.passed for v in agree_on_wa(spec, spec, w_suite(p, spec.alphabet, 0, w)))
     assert equiv_wa(spec, spec).equivalent
+
+
+def test_is_state_cover_stops_at_full_rank(monkeypatch):
+    # the fault-domain filter of this experiment asks is_state_cover_wa 107
+    # times; stepping every word of each P.Sigma^{<=k} takes 535 words
+    words, calls = [0], [0]
+    real_execute, real_cover = weighted_module.execute, weighted_module.is_state_cover_wa
+
+    def execute(plan, init, step):
+        for state in real_execute(plan, init, step):
+            words[0] += 1
+            yield state
+
+    def is_state_cover_wa(a, p):
+        calls[0] += 1
+        monkeypatch.setattr(weighted_module, "execute", execute)
+        try:
+            return real_cover(a, p)
+        finally:
+            monkeypatch.setattr(weighted_module, "execute", real_execute)
+
+    monkeypatch.setattr(weighted_module, "is_state_cover_wa", is_state_cover_wa)
+    completeness_experiment(load("binary_value.wa"), 1, MutationSpec(1, 100, 7))
+    assert calls[0] == 107
+    assert 0 < words[0] < 535
+
+
+def test_is_state_cover_matches_full_rank_reference():
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(300):
+        a = random_wa(rng, max_dim=4, syms=rng.choice([1, 2]))
+        pool = list(words_upto(a.alphabet, 3))
+        p = Suite(a.alphabet, tuple(rng.sample(pool, rng.randint(0, min(6, len(pool))))))
+        if rng.random() < 0.7:
+            p = Suite(a.alphabet, (*p, EPSILON))
+        # every word of p stepped, the rank taken over Fractions
+        spans = fraction_rank([fraction_state(a, w) for w in p]) == a.dim
+        expected = p.contains_epsilon() and spans
+        assert is_state_cover_wa(a, p) == expected
+        verdicts.add((p.contains_epsilon(), spans))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
