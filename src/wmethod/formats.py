@@ -110,6 +110,7 @@ def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
     accepting: set[int] = set()
     outputs: dict = {}
     delta: dict[tuple[int, int], int] = {}
+    states: list[tuple[int, str, int]] = []  # (line, what, state) of every state named
     for no, toks in items:
         d = toks[0]
         if d == "alphabet":
@@ -133,7 +134,7 @@ def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
             if kind == "moore":
                 if len(toks) != 3:
                     raise ParseError(filename, no, "moore output: `output state value`")
-                key = _int(toks[1], filename, no, "output state")
+                key = q = _int(toks[1], filename, no, "output state")
                 value = toks[2]
             else:
                 if len(toks) != 4 or alphabet is None:
@@ -148,6 +149,7 @@ def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
             if key in outputs:
                 raise ParseError(filename, no, f"duplicate output for {toks[1]}")
             outputs[key] = value
+            states.append((no, "output state", q))
         elif d == "trans":
             if len(toks) != 4:
                 raise ParseError(filename, no, "trans: `trans src symbol dst`")
@@ -160,11 +162,15 @@ def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
             if key in delta:
                 raise ParseError(filename, no, f"duplicate transition for state {src}")
             delta[key] = dst
+            states += [(no, "trans source", src), (no, "trans target", dst)]
         else:
             raise ParseError(filename, no, f"unknown directive {d!r}")
     for name, val in (("alphabet", alphabet), ("states", n_states), ("initial", initial)):
         if val is None:
             raise ParseError(filename, last, f"missing {name} directive")
+    for no, what, q in states:
+        if not 0 <= q < n_states:
+            raise ParseError(filename, no, f"{what} {q} out of range for `states {n_states}`")
     rows = []
     for q in range(n_states):
         row = []

@@ -11,7 +11,6 @@ output of the last transition of every one-symbol extension).
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -24,6 +23,8 @@ from .words import (
     Verdict,
     Word,
     execute,
+    reach,
+    unseen,
 )
 
 KINDS = ("dfa", "moore", "mealy")
@@ -110,16 +111,9 @@ def _check_compatible(a: Fsm, b: Fsm):
 def _access(m: Fsm) -> dict[int, Word]:
     """Shortest access word of every reachable state, in BFS order (alphabet
     order breaks ties)."""
-    access: dict[int, Word] = {m.initial: EPSILON}
-    queue = deque([m.initial])
-    while queue:
-        q = queue.popleft()
-        for a in range(len(m.alphabet)):
-            t = m.delta[q][a]
-            if t not in access:
-                access[t] = access[q] + Word((a,))
-                queue.append(t)
-    return access
+    delta = m.delta
+    found = reach(m.initial, lambda q: enumerate(delta[q]), unseen())
+    return {q: Word(w) for w, q in found}
 
 
 def _refine_partition(m: Fsm, states: list[int]) -> dict[int, int]:
@@ -149,12 +143,12 @@ def minimize(m: Fsm) -> Fsm:
     States of the result are numbered in BFS order from the initial
     state, so minimization is idempotent on the nose.
     """
-    reach = list(_access(m))
-    block = _refine_partition(m, reach)
+    states = list(_access(m))
+    block = _refine_partition(m, states)
     # representative per block, in BFS discovery order
     rep_order = []
     seen_blocks = set()
-    for q in reach:
+    for q in states:
         if block[q] not in seen_blocks:
             seen_blocks.add(block[q])
             rep_order.append(q)
@@ -303,19 +297,12 @@ def agree_on(spec: Fsm, impl: Fsm, t: Suite) -> list[Verdict]:
 
 
 def equiv(a: Fsm, b: Fsm) -> EquivResult:
-    """Exact equivalence via product BFS; counterexample is length-lex least."""
+    """Exact equivalence: a breadth-first walk over pairs of states stops at
+    the first pair whose outputs differ; its word is length-lex least."""
     _check_compatible(a, b)
-    start = (a.initial, b.initial)
-    access: dict[tuple[int, int], Word] = {start: EPSILON}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        qa, qb = pair
+    da, db = a.delta, b.delta
+    found = reach((a.initial, b.initial), lambda p: enumerate(zip(da[p[0]], db[p[1]])), unseen())
+    for w, (qa, qb) in found:
         if a.signature(qa) != b.signature(qb):
-            return EquivResult(False, access[pair])
-        for sym in range(len(a.alphabet)):
-            nxt = (a.delta[qa][sym], b.delta[qb][sym])
-            if nxt not in access:
-                access[nxt] = access[pair] + Word((sym,))
-                queue.append(nxt)
+            return EquivResult(False, Word(w))
     return EquivResult(True, None)

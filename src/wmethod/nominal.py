@@ -14,10 +14,9 @@ the empty word). A suite of patterns is a `words.Suite` (`OrbitSuite`).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, count, permutations
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from .words import (
@@ -28,7 +27,9 @@ from .words import (
     Verdict,
     check_w_inputs,
     execute,
+    reach,
     sequences_upto,
+    unseen,
 )
 
 Atom = int
@@ -327,23 +328,17 @@ def state_cover_rna(a: Rna) -> OrbitSuite:
     """Access patterns reaching every reachable location (BFS order).
 
     Since registers hold distinct atoms, the orbits of states coincide
-    with locations; the result is prefix-closed and contains the empty
-    pattern.
+    with locations: the walk admits a state at a new location. The result
+    is prefix-closed and contains the empty pattern.
     """
-    seen = {a.initial}
-    access: list[tuple[Atom, ...]] = [()]
-    queue: deque[tuple[int, tuple[Atom, ...], tuple[Atom, ...]]] = deque()
-    queue.append((a.initial, (), ()))
-    while queue:
-        loc, regs, word = queue.popleft()
-        fresh = max(word, default=0) + 1
-        for x in (*regs, fresh):
-            nloc, nregs = _step(a, loc, regs, x)
-            if nloc not in seen:
-                seen.add(nloc)
-                access.append(word + (x,))
-                queue.append((nloc, nregs, word + (x,)))
-    return OrbitSuite(tuple(SymbolicWord.from_atoms(w) for w in access))
+
+    def moves(state: tuple[int, tuple[Atom, ...], Atom]):  # top + 1 is a fresh atom
+        loc, regs, top = state
+        for x in (*regs, top + 1):
+            yield x, (*_step(a, loc, regs, x), max(top, x))
+
+    found = reach((a.initial, (), 0), moves, unseen(itemgetter(0)))
+    return OrbitSuite(tuple(SymbolicWord.from_atoms(w) for w, _ in found))
 
 
 def weak_cover_map_rna(
@@ -395,42 +390,34 @@ def _pair_bfs(
 ) -> tuple[bool, tuple[Atom, ...] | None]:
     """Symbolic bisimulation check between two concrete states.
 
-    Explores pairs of runs; a configuration is the pair of locations plus
-    the matching of registers holding equal atoms, which determines all
-    future joint behavior. Returns (equivalent, distinguishing letters).
+    A breadth-first walk over pairs of runs admits a pair at a new
+    configuration: the pair of locations plus the matching of registers
+    holding equal atoms, which determines all future joint behavior.
+    Returns (equivalent, distinguishing letters), the letters from the
+    first configuration found whose acceptance differs. With
+    `max_configs`, a verdict must come within that many configurations,
+    counting the start, or OracleLimitError is raised.
     """
 
-    def cfg_key(sa: State, sb: State):
-        (la, ra), (lb, rb) = sa, sb
-        match = frozenset(
-            (i, j) for i, x in enumerate(ra) for j, y in enumerate(rb) if x == y
-        )
-        return la, lb, match
+    def moves(cfg: tuple[State, State, Atom]):
+        sa, sb, top = cfg
+        for x in dict.fromkeys((*sa[1], *sb[1], top + 1)):
+            yield x, (_step(a, *sa, x), _step(b, *sb, x), max(top, x))
 
-    start_atoms = set(start_a[1]) | set(start_b[1])
-    queue: deque[tuple[State, State, tuple[Atom, ...]]] = deque()
-    queue.append((start_a, start_b, ()))
-    visited = {cfg_key(start_a, start_b)}
-    while queue:
-        sa, sb, word = queue.popleft()
-        if (sa[0] in a.accepting) != (sb[0] in b.accepting):
-            return False, word
-        if max_configs is not None and len(visited) > max_configs:
+    def key(cfg: tuple[State, State, Atom]):
+        (la, ra), (lb, rb), _ = cfg
+        match = ((i, j) for i, x in enumerate(ra) for j, y in enumerate(rb) if x == y)
+        return la, lb, frozenset(match)
+
+    top = max((*start_a[1], *start_b[1]), default=0)  # top + 1 is a fresh atom
+    found = reach((start_a, start_b, top), moves, unseen(key))
+    for n, (word, (sa, sb, _)) in enumerate(found, start=1):
+        if max_configs is not None and n > max_configs:
             raise OracleLimitError(
                 f"equivalence exploration exceeded {max_configs} configurations"
             )
-        fresh = max(start_atoms | set(word), default=0) + 1
-        letters = []
-        for x in (*sa[1], *sb[1], fresh):
-            if x not in letters:
-                letters.append(x)
-        for x in letters:
-            na = _step(a, *sa, x)
-            nb = _step(b, *sb, x)
-            key = cfg_key(na, nb)
-            if key not in visited:
-                visited.add(key)
-                queue.append((na, nb, word + (x,)))
+        if (sa[0] in a.accepting) != (sb[0] in b.accepting):
+            return False, word
     return True, None
 
 

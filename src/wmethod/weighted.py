@@ -9,14 +9,14 @@ Everything here is exact. Weights are `fractions.Fraction`; the kernels
 run on an integer form of each machine (every part scaled by the least
 common multiple of its denominators) and build `Fraction`s only for the
 values and vectors they return. Ranks and coordinates come from one
-fraction-free Gaussian elimination, on which minimization runs too, and
-equivalence is decided by saturating the reachable subspace of a
-difference machine.
+fraction-free Gaussian elimination, on which minimization runs too.
+The forward basis and the equivalence oracle are breadth-first walks
+(`words.reach`) that admit a word when its state, or its pair of states,
+is independent of those of all smaller words.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,6 +33,7 @@ from .words import (
     Word,
     concat_suites,
     execute,
+    reach,
     words_upto,
 )
 
@@ -211,27 +212,17 @@ def _basis(found: list[tuple[Word, IState]]) -> VecSpaceBasis:
     return VecSpaceBasis(tuple(_fractions(st) for _, st in found), tuple(w for w, _ in found))
 
 
-def _reach(z: _IntForm, n_syms: int) -> Iterator[tuple[Word, IState]]:
-    """(w, state of w), in length-lex order, for every word w whose state
-    M(w) s0 is independent of the states of all smaller words. The words
-    are prefix-closed; their states are a basis of the reachable space."""
-    ech = _Echelon()
-    if not ech.add(z.s0):
-        return
-    queue = deque([(EPSILON, (z.s0, z.d0))])
-    yield queue[0]
-    while queue:
-        w, state = queue.popleft()
-        for s in range(n_syms):
-            nxt = z.step(state, s)
-            if ech.add(nxt[0]):
-                queue.append((w + Word((s,)), nxt))
-                yield queue[-1]
-
-
 def forward_basis(a: Wa) -> VecSpaceBasis:
     """Basis of span{M(w) s0} with length-lex minimal, prefix-closed witnesses."""
-    return _basis(list(_reach(a._ints, len(a.alphabet))))
+    z = a._ints
+    letters = range(len(a.alphabet))
+    ech = _Echelon()
+    found = reach(
+        (z.s0, z.d0),
+        lambda state: ((s, z.step(state, s)) for s in letters),
+        lambda state: ech.add(state[0]),
+    )
+    return _basis([(Word(w), state) for w, state in found])
 
 
 def backward_basis(a: Wa) -> VecSpaceBasis:
@@ -341,47 +332,33 @@ def minimize_wa(a: Wa) -> Wa:
     return _transpose(_restrict(_transpose(red), backward_basis(red).vectors))
 
 
-def _difference(a: Wa, b: Wa) -> _IntForm:
-    """Integer form of the machine whose value is a's minus b's: the two
-    state spaces side by side. Each part of both machines is brought to
-    the lcm of their two denominators, so both blocks scale alike."""
-    za, zb = a._ints, b._ints
-    pad_a, pad_b = (0,) * a.dim, (0,) * b.dim
-
-    def side_by_side(u: IVec, du: int, v: IVec, dv: int, sign: int) -> tuple[IVec, int]:
-        d = lcm(du, dv)
-        return tuple(x * (d // du) for x in u) + tuple(sign * x * (d // dv) for x in v), d
-
-    rows, dm = [], []
-    for ra, da, rb, db in zip(za.rows, za.dm, zb.rows, zb.dm):
-        d = lcm(da, db)
-        top = tuple(tuple(x * (d // da) for x in r) + pad_b for r in ra)
-        bottom = tuple(pad_a + tuple(x * (d // db) for x in r) for r in rb)
-        rows.append(top + bottom)
-        dm.append(d)
-    return _IntForm(
-        *side_by_side(za.s0, za.d0, zb.s0, zb.d0, 1),
-        tuple(rows),
-        tuple(dm),
-        *side_by_side(za.f, za.df, zb.f, zb.df, -1),
-    )
-
-
 def equiv_wa(a: Wa, b: Wa) -> EquivResult:
     """Exact series equality; counterexample is the length-lex least word
     on which the values differ (length < dim(a) + dim(b)).
 
-    The words tried are those `_reach` yields on the difference machine,
-    whose value is a's minus b's. That is enough: a word whose state is a
-    combination of the states of smaller words has value 0 when all of
-    those do, so the least word of nonzero value is one that is yielded.
+    The walk runs over pairs of integer states (va, da), (vb, db) and
+    admits a pair when va db ++ vb da, which is da db times the pair of
+    states side by side, is independent of those of smaller words. That
+    is enough: the difference of the values is linear in that vector, so
+    the least word on which they differ is one that is admitted.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("machine alphabets differ")
-    z = _difference(a, b)
-    for w, (v, _) in _reach(z, len(a.alphabet)):
-        if _idot(z.f, v):
-            return EquivResult(False, w)
+    za, zb = a._ints, b._ints
+    letters = range(len(a.alphabet))
+    ech = _Echelon()
+
+    def moves(pair: tuple[IState, IState]):
+        sa, sb = pair
+        return ((s, (za.step(sa, s), zb.step(sb, s))) for s in letters)
+
+    def new(pair: tuple[IState, IState]) -> bool:
+        (va, da), (vb, db) = pair
+        return ech.add([x * db for x in va] + [x * da for x in vb])
+
+    for w, ((va, da), (vb, db)) in reach(((za.s0, za.d0), (zb.s0, zb.d0)), moves, new):
+        if _idot(za.f, va) * zb.df * db != _idot(zb.f, vb) * za.df * da:
+            return EquivResult(False, Word(w))
     return EquivResult(True, None)
 
 

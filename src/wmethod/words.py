@@ -1,4 +1,5 @@
-"""Words, alphabets, test suites, and run verdicts.
+"""Words, alphabets, test suites, run verdicts, and the two walks every
+family shares: the suite executor and the breadth-first `reach`.
 
 Suites are always kept deduplicated and in canonical order
 (length-lexicographic by symbol index), so generated files are
@@ -10,11 +11,12 @@ item's symbols are read (`_seq`), checked (`_check`) and rendered
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter, lt
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 EPS_TOKEN = "-eps-"
 
@@ -179,6 +181,43 @@ def execute(plan: Plan, init: State, step: Callable[[State, object], State]) -> 
             s = step(s, a)
         states.append(s)
         yield s
+
+
+def reach(
+    start: State,
+    moves: Callable[[State], Iterable[tuple[object, State]]],
+    new: Callable[[State], bool],
+) -> Iterator[tuple[tuple, State]]:
+    """The breadth-first walk behind every state cover and every oracle.
+
+    Yields (word, state) for every state that `new` admits, the start
+    first, each as it is discovered; discovery order is expansion order.
+    `moves(state)` gives (letter, successor) pairs in the order they are
+    tried, and a word is the tuple of letters that reached its state. The
+    walk is lazy: a consumer that stops at the start calls `moves` never.
+    """
+    if not new(start):
+        return
+    queue = deque([((), start)])
+    yield queue[0]
+    while queue:
+        word, state = queue.popleft()
+        for letter, nxt in moves(state):
+            if new(nxt):
+                queue.append((word + (letter,), nxt))
+                yield queue[-1]
+
+
+def unseen(key: Callable[[State], Hashable] = lambda state: state) -> Callable[[State], bool]:
+    """A `reach` admission test: true the first time a state's key is met."""
+    seen: set = set()
+
+    def new(state: State) -> bool:
+        size = len(seen)
+        seen.add(key(state))
+        return len(seen) > size
+
+    return new
 
 
 @dataclass(frozen=True)

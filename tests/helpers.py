@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
+from operator import mul
 from pathlib import Path
 
 from wmethod import (
@@ -16,6 +19,7 @@ from wmethod import (
     NotMinimalError,
     Rna,
     Suite,
+    VecSpaceBasis,
     Wa,
     Word,
     backward_basis,
@@ -28,6 +32,7 @@ from wmethod import (
     words_upto,
 )
 from wmethod import nominal as N
+from wmethod import weighted as W
 from wmethod.fsm import _run_from
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -385,3 +390,174 @@ def reference_char_set(m: Fsm) -> Suite:
         else:
             raise AssertionError("no splitting word found for a minimal machine")
     return Suite(m.alphabet, tuple(chosen))
+
+
+def dfa_as_wa(m: Fsm) -> Wa:
+    """A DFA as a weighted automaton with 0/1 weights: s0 marks the initial
+    state, M(a) moves each state to its a-successor (row target, column
+    source) and f marks the accepting states, so the value of a word is 1
+    if the DFA accepts it and 0 otherwise."""
+    if m.kind != "dfa":
+        raise ValueError("only a dfa embeds as a 0/1-weighted automaton")
+    states = range(m.n_states)
+    mats = tuple(
+        tuple(tuple(int(m.delta[src][a] == dst) for src in states) for dst in states)
+        for a in range(len(m.alphabet))
+    )
+    return Wa(m.alphabet, m.n_states, tuple(int(q == m.initial) for q in states), mats, m.output)
+
+
+def arity0_rna_as_dfa(a: Rna) -> Fsm:
+    """An RNA whose locations all have arity 0 as the one-letter DFA it is:
+    every input is fresh, so each location has one rule, on the letter x."""
+    if any(a.arity(q) for q in range(len(a.locations))):
+        raise ValueError("every location must have arity 0")
+    n = len(a.locations)
+    delta = tuple((a.rules[q][0][0],) for q in range(n))
+    out = tuple(int(q in a.accepting) for q in range(n))
+    return Fsm("dfa", Alphabet(("x",)), n, a.initial, delta, out)
+
+
+# The hand-written breadth-first loops that `wmethod.words.reach` replaced,
+# kept as references for differential tests.
+
+
+def reference_access(m: Fsm) -> dict[int, Word]:
+    """Shortest access word of every reachable state, in BFS order."""
+    access: dict[int, Word] = {m.initial: EPSILON}
+    queue = deque([m.initial])
+    while queue:
+        q = queue.popleft()
+        for a in range(len(m.alphabet)):
+            t = m.delta[q][a]
+            if t not in access:
+                access[t] = access[q] + Word((a,))
+                queue.append(t)
+    return access
+
+
+def reference_equiv(a: Fsm, b: Fsm) -> EquivResult:
+    """Equivalence by product BFS, each pair checked when it is dequeued."""
+    start = (a.initial, b.initial)
+    access = {start: EPSILON}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        qa, qb = pair
+        if a.signature(qa) != b.signature(qb):
+            return EquivResult(False, access[pair])
+        for sym in range(len(a.alphabet)):
+            nxt = (a.delta[qa][sym], b.delta[qb][sym])
+            if nxt not in access:
+                access[nxt] = access[pair] + Word((sym,))
+                queue.append(nxt)
+    return EquivResult(True, None)
+
+
+def reference_reach(z, n_syms: int):
+    """(w, integer state of w), in length-lex order, for every word w whose
+    state is independent of the states of all smaller words."""
+    ech = W._Echelon()
+    if not ech.add(z.s0):
+        return
+    queue = deque([(EPSILON, (z.s0, z.d0))])
+    yield queue[0]
+    while queue:
+        w, state = queue.popleft()
+        for s in range(n_syms):
+            nxt = z.step(state, s)
+            if ech.add(nxt[0]):
+                queue.append((w + Word((s,)), nxt))
+                yield queue[-1]
+
+
+def reference_forward_basis(a: Wa) -> VecSpaceBasis:
+    found = list(reference_reach(a._ints, len(a.alphabet)))
+    return VecSpaceBasis(
+        tuple(tuple(Fraction(x, d) for x in v) for _, (v, d) in found),
+        tuple(w for w, _ in found),
+    )
+
+
+def reference_difference(a: Wa, b: Wa):
+    """Integer form of the machine whose value is a's minus b's: the two
+    state spaces side by side, each part brought to the lcm of the two
+    machines' denominators."""
+    za, zb = a._ints, b._ints
+    pad_a, pad_b = (0,) * a.dim, (0,) * b.dim
+
+    def side_by_side(u, du, v, dv, sign):
+        d = lcm(du, dv)
+        return tuple(x * (d // du) for x in u) + tuple(sign * x * (d // dv) for x in v), d
+
+    rows, dm = [], []
+    for ra, da, rb, db in zip(za.rows, za.dm, zb.rows, zb.dm):
+        d = lcm(da, db)
+        top = tuple(tuple(x * (d // da) for x in r) + pad_b for r in ra)
+        bottom = tuple(pad_a + tuple(x * (d // db) for x in r) for r in rb)
+        rows.append(top + bottom)
+        dm.append(d)
+    return W._IntForm(
+        *side_by_side(za.s0, za.d0, zb.s0, zb.d0, 1),
+        tuple(rows),
+        tuple(dm),
+        *side_by_side(za.f, za.df, zb.f, zb.df, -1),
+    )
+
+
+def reference_equiv_wa(a: Wa, b: Wa) -> EquivResult:
+    """Series equality by saturating the reachable space of the difference machine."""
+    z = reference_difference(a, b)
+    for w, (v, _) in reference_reach(z, len(a.alphabet)):
+        if sum(map(mul, z.f, v)):
+            return EquivResult(False, w)
+    return EquivResult(True, None)
+
+
+def reference_state_cover_rna(a: Rna) -> N.OrbitSuite:
+    """Access patterns of every reachable location, in BFS order."""
+    seen = {a.initial}
+    access: list[tuple[int, ...]] = [()]
+    queue = deque([(a.initial, (), ())])
+    while queue:
+        loc, regs, word = queue.popleft()
+        fresh = max(word, default=0) + 1
+        for x in (*regs, fresh):
+            nloc, nregs = N._step(a, loc, regs, x)
+            if nloc not in seen:
+                seen.add(nloc)
+                access.append(word + (x,))
+                queue.append((nloc, nregs, word + (x,)))
+    return N.OrbitSuite(tuple(N.SymbolicWord.from_atoms(w) for w in access))
+
+
+def reference_pair_bfs(a: Rna, b: Rna, start_a, start_b):
+    """Symbolic bisimulation between two concrete states; each configuration
+    is checked when it is dequeued. Returns (equivalent, distinguishing
+    letters)."""
+
+    def cfg_key(sa, sb):
+        (la, ra), (lb, rb) = sa, sb
+        match = frozenset((i, j) for i, x in enumerate(ra) for j, y in enumerate(rb) if x == y)
+        return la, lb, match
+
+    start_atoms = set(start_a[1]) | set(start_b[1])
+    queue = deque([(start_a, start_b, ())])
+    visited = {cfg_key(start_a, start_b)}
+    while queue:
+        sa, sb, word = queue.popleft()
+        if (sa[0] in a.accepting) != (sb[0] in b.accepting):
+            return False, word
+        fresh = max(start_atoms | set(word), default=0) + 1
+        letters = []
+        for x in (*sa[1], *sb[1], fresh):
+            if x not in letters:
+                letters.append(x)
+        for x in letters:
+            na = N._step(a, *sa, x)
+            nb = N._step(b, *sb, x)
+            key = cfg_key(na, nb)
+            if key not in visited:
+                visited.add(key)
+                queue.append((na, nb, word + (x,)))
+    return True, None

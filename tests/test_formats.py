@@ -1,3 +1,4 @@
+import io
 import random
 import re
 import sys
@@ -119,6 +120,35 @@ def test_bad_alphabet_reports_the_alphabet_line(head, rest, symbols, message):
     with pytest.raises(ParseError) as err:
         parse_machine(f"{head}\n# symbols\nalphabet{symbols}\n{rest}", "m")
     assert (err.value.line, err.value.message) == (3, message)
+
+
+@pytest.mark.parametrize(
+    "name, line, message",
+    [
+        ("fsm_source_range.aut", 6, "trans source 7 out of range for `states 1`"),
+        ("fsm_target_range.aut", 5, "trans target 5 out of range for `states 1`"),
+        ("moore_output_range.aut", 6, "output state 3 out of range for `states 1`"),
+        ("mealy_output_range.aut", 6, "output state -2 out of range for `states 1`"),
+    ],
+)
+def test_out_of_range_state_reports_its_line(name, line, message, capsys):
+    path = FIXTURES / "bad" / name
+    with pytest.raises(ParseError) as err:
+        parse_machine(path.read_text(), str(path))
+    assert (err.value.line, err.value.message) == (line, message)
+    assert main(["minimize", str(path)], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+
+
+def test_out_of_range_source_before_states_directive():
+    # the states count comes later in the file; the error still names the trans line
+    text = "kind dfa\nalphabet a\ntrans -1 a 0\nstates 1\ninitial 0\ntrans 0 a 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_machine(text, "m")
+    assert (err.value.line, err.value.message) == (
+        3,
+        "trans source -1 out of range for `states 1`",
+    )
 
 
 def test_missing_transition_message():

@@ -286,7 +286,7 @@ def test_equiv_agrees_with_brute_force():
         b = random_fsm(rng, max_states=4, syms=2)
         res = equiv(a, b)
         brute = brute_force_equiv(a, b, a.n_states + b.n_states - 1)
-        assert res.equivalent == brute.equivalent
+        assert res == brute
         if not res.equivalent:
             assert lang_value(a, res.counterexample) != lang_value(b, res.counterexample)
             assert len(res.counterexample) <= len(brute.counterexample)

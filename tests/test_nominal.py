@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_equiv_rna,
+    load,
     random_rna,
     reference_concat_orbit,
     reference_pair_configs,
@@ -15,6 +16,7 @@ from wmethod import (
     EPS_PATTERN,
     Alphabet,
     NotMinimalError,
+    OracleLimitError,
     OrbitSuite,
     Rna,
     Suite,
@@ -271,6 +273,39 @@ def test_equiv_rna(same_twice):
         same_twice.rules,
     )
     assert equiv_rna(same_twice, renamed).equivalent
+
+
+# same_twice against itself has C = 4 configurations: (q0, q0), then
+# (q1, q1) with the register matched, then (q2, q2) on the repeated atom
+# and (q3, q3) on a fresh one. Against same_twice_boundary the 9th
+# configuration found, (q3, c6), is the first whose acceptance differs.
+@pytest.mark.parametrize(
+    "other, n, verdict",
+    [("same_twice.rna", 4, None), ("same_twice_boundary.rna", 9, (1, 2, 3, 4, 5, 6, 7))],
+)
+def test_equiv_rna_limit_counts_examined_configurations(same_twice, other, n, verdict):
+    b = load(other)
+    res = equiv_rna(same_twice, b, max_configs=n)
+    assert res == equiv_rna(same_twice, b)
+    assert (res.counterexample.pattern if verdict else None) == verdict
+    with pytest.raises(OracleLimitError, match=f"exceeded {n - 1} configurations"):
+        equiv_rna(same_twice, b, max_configs=n - 1)
+
+
+def test_equiv_rna_limit_is_the_number_of_configurations_examined():
+    # the least limit that gives a verdict gives the unlimited one, and one less raises
+    rng = random.Random(13)
+    for _ in range(60):
+        a, b = random_rna(rng, max_locs=4, max_arity=2), random_rna(rng, max_locs=4, max_arity=2)
+        n = 1
+        while True:
+            try:
+                res = equiv_rna(a, b, max_configs=n)
+                break
+            except OracleLimitError:
+                n += 1
+        assert res == equiv_rna(a, b)
+        assert all(equiv_rna(a, b, max_configs=m) == res for m in (n + 1, n + 5))
 
 
 def test_theorem_instance_mutants(same_twice, spec_p, spec_delta_p, spec_w):
