@@ -3,8 +3,10 @@
 One file describes one machine. Lines hold whitespace-separated tokens;
 blank lines and lines starting with `#` are ignored. The first directive
 must be `kind dfa|moore|mealy|wa|rna`, which selects the family. Errors
-carry the offending line number and are never repaired silently. Word
-and pattern suite files go through one prefix reader (`_read_suite`).
+carry the offending line number and are never repaired silently: a bad
+state, location or rule at the line that names it, an item the file
+never gives at its last line. Word and pattern suite files go through
+one prefix reader (`_read_suite`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .fsm import Fsm
-from .nominal import OrbitSuite, Rna, SymbolicWord, X_SOURCE
+from .nominal import OrbitSuite, Rna, SymbolicWord, X_SOURCE, check_rule
 from .weighted import Wa
 from .words import EPS_TOKEN, Alphabet, Suite, Word, prefix_walk
 
@@ -54,8 +56,6 @@ def parse_machine(text: str, filename: str = "<string>") -> Fsm | Wa | Rna:
             return _parse_wa(items[1:], filename, last)
         if kind == "rna":
             return _parse_rna(items[1:], filename, last)
-    except ParseError:
-        raise
     except ValueError as e:
         raise ParseError(filename, last, str(e)) from e
     raise ParseError(filename, no, f"unknown machine kind {kind!r}")
@@ -104,11 +104,34 @@ def _symbol(alphabet: Alphabet, tok: str, filename: str, no: int) -> int:
         raise ParseError(filename, no, f"unknown symbol {tok!r}") from None
 
 
+def _count(toks: list[str], filename: str, no: int) -> int:
+    """The positive count of a `states n` or `dim n` directive."""
+    (arg,) = _args(toks, f"{toks[0]} count", filename, no)
+    n = _int(arg, filename, no, toks[0])
+    if n <= 0:
+        raise ParseError(filename, no, f"{toks[0]} must be positive")
+    return n
+
+
+def _in_range(refs, n: int, count: str, filename: str) -> None:
+    """Report the first of the (line, what, state) refs outside 0..n-1 at its line."""
+    for no, what, q in refs:
+        if not 0 <= q < n:
+            raise ParseError(filename, no, f"{what} {q} out of range for `{count} {n}`")
+
+
+def _total(found: dict, rows, what, filename: str, last: int) -> list:
+    """found[k] for every key of every row; a missing key is reported at the last line."""
+    try:
+        return [[found[k] for k in row] for row in rows]
+    except KeyError as e:
+        raise ParseError(filename, last, f"missing {what(e.args[0])}") from None
+
+
 def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
     alphabet = None
     n_states = initial = None
-    accepting: set[int] = set()
-    outputs: dict = {}
+    outputs: dict = {}  # accepting states map to 1
     delta: dict[tuple[int, int], int] = {}
     states: list[tuple[int, str, int]] = []  # (line, what, state) of every state named
     for no, toks in items:
@@ -118,16 +141,18 @@ def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
             alphabet = _alphabet(toks, filename, no)
         elif d == "states":
             _once(n_states, d, filename, no)
-            (arg,) = _args(toks, "states count", filename, no)
-            n_states = _int(arg, filename, no, "states")
+            n_states = _count(toks, filename, no)
         elif d == "initial":
             _once(initial, d, filename, no)
             (arg,) = _args(toks, "initial state", filename, no)
             initial = _int(arg, filename, no, "initial")
+            states.append((no, "initial state", initial))
         elif d == "accepting":
             if kind != "dfa":
                 raise ParseError(filename, no, "accepting is only valid for dfa")
-            accepting.update(_int(t, filename, no, "accepting") for t in toks[1:])
+            qs = [_int(t, filename, no, "accepting") for t in toks[1:]]
+            outputs.update(dict.fromkeys(qs, 1))
+            states += [(no, "accepting state", q) for q in qs]
         elif d == "output":
             if kind == "dfa":
                 raise ParseError(filename, no, "dfa uses `accepting`, not `output`")
@@ -168,46 +193,23 @@ def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
     for name, val in (("alphabet", alphabet), ("states", n_states), ("initial", initial)):
         if val is None:
             raise ParseError(filename, last, f"missing {name} directive")
-    for no, what, q in states:
-        if not 0 <= q < n_states:
-            raise ParseError(filename, no, f"{what} {q} out of range for `states {n_states}`")
-    rows = []
-    for q in range(n_states):
-        row = []
-        for a in range(len(alphabet)):
-            if (q, a) not in delta:
-                raise ParseError(
-                    filename,
-                    last,
-                    f"missing transition for state {q} on {alphabet.symbols[a]!r}",
-                )
-            row.append(delta[(q, a)])
-        rows.append(tuple(row))
+    _in_range(states, n_states, "states", filename)
+    syms = alphabet.symbols
+
+    def grid(found: dict, what: str) -> list:
+        """found's values, one row per state over the alphabet."""
+        on = lambda k: f"{what} for state {k[0]} on {syms[k[1]]!r}"
+        keys = ([(q, a) for a in range(len(syms))] for q in range(n_states))
+        return _total(found, keys, on, filename, last)
+
+    rows = grid(delta, "transition")
     if kind == "dfa":
-        bad = [q for q in accepting if not 0 <= q < n_states]
-        if bad:
-            raise ParseError(filename, last, f"accepting state {bad[0]} out of range")
-        out = tuple(1 if q in accepting else 0 for q in range(n_states))
+        out = [outputs.get(q, 0) for q in range(n_states)]
     elif kind == "moore":
-        missing = [q for q in range(n_states) if q not in outputs]
-        if missing:
-            raise ParseError(filename, last, f"missing output for state {missing[0]}")
-        out = tuple(outputs[q] for q in range(n_states))
+        out = _total(outputs, [range(n_states)], "output for state {}".format, filename, last)[0]
     else:
-        out_rows = []
-        for q in range(n_states):
-            row = []
-            for a in range(len(alphabet)):
-                if (q, a) not in outputs:
-                    raise ParseError(
-                        filename,
-                        last,
-                        f"missing output for state {q} on {alphabet.symbols[a]!r}",
-                    )
-                row.append(outputs[(q, a)])
-            out_rows.append(tuple(row))
-        out = tuple(out_rows)
-    return Fsm(kind, alphabet, n_states, initial, tuple(rows), out)
+        out = grid(outputs, "output")
+    return Fsm(kind, alphabet, n_states, initial, rows, out)
 
 
 def _parse_wa(items, filename: str, last: int) -> Wa:
@@ -216,6 +218,7 @@ def _parse_wa(items, filename: str, last: int) -> Wa:
     init: dict[int, Fraction] = {}
     final: dict[int, Fraction] = {}
     trans: dict[tuple[int, int, int], Fraction] = {}
+    states: list[tuple[int, str, int]] = []  # (line, what, state) of every state named
     for no, toks in items:
         d = toks[0]
         if d == "alphabet":
@@ -223,10 +226,7 @@ def _parse_wa(items, filename: str, last: int) -> Wa:
             alphabet = _alphabet(toks, filename, no)
         elif d == "dim":
             _once(dim, d, filename, no)
-            (arg,) = _args(toks, "dim count", filename, no)
-            dim = _int(arg, filename, no, "dim")
-            if dim <= 0:
-                raise ParseError(filename, no, "dim must be positive")
+            dim = _count(toks, filename, no)
         elif d in ("init", "final"):
             state, weight = _args(toks, f"{d} state weight", filename, no)
             q = _int(state, filename, no, f"{d} state")
@@ -234,6 +234,7 @@ def _parse_wa(items, filename: str, last: int) -> Wa:
             if q in vec:
                 raise ParseError(filename, no, f"duplicate {d} weight for state {q}")
             vec[q] = _rational(weight, filename, no)
+            states.append((no, f"{d} state", q))
         elif d == "trans":
             if len(toks) != 5 or alphabet is None:
                 raise ParseError(filename, no, "trans: `trans src sym dst weight` after alphabet")
@@ -244,63 +245,51 @@ def _parse_wa(items, filename: str, last: int) -> Wa:
             if key in trans:
                 raise ParseError(filename, no, "duplicate transition weight")
             trans[key] = _rational(toks[4], filename, no)
+            states += [(no, "trans source", src), (no, "trans target", dst)]
         else:
             raise ParseError(filename, no, f"unknown directive {d!r}")
     if alphabet is None or dim is None:
         raise ParseError(filename, last, "missing alphabet or dim directive")
-    for q in list(init) + list(final) + [s for s, _, _ in trans] + [t for _, _, t in trans]:
-        if not 0 <= q < dim:
-            raise ParseError(filename, last, f"state {q} out of range for dim {dim}")
-    s0 = tuple(init.get(q, Fraction(0)) for q in range(dim))
-    f = tuple(final.get(q, Fraction(0)) for q in range(dim))
-    mats = []
-    for a in range(len(alphabet)):
-        # weight of src -> dst is stored at row dst, column src
-        mats.append(
-            tuple(
-                tuple(trans.get((src, a, dst), Fraction(0)) for src in range(dim))
-                for dst in range(dim)
-            )
-        )
-    return Wa(alphabet, dim, s0, tuple(mats), f)
+    _in_range(states, dim, "dim", filename)
+    qs = range(dim)
+    # weight of src -> dst is stored at row dst, column src
+    mats = [[[trans.get((s, a, t), 0) for s in qs] for t in qs] for a in range(len(alphabet))]
+    return Wa(alphabet, dim, [init.get(q, 0) for q in qs], mats, [final.get(q, 0) for q in qs])
 
 
 def _parse_rna(items, filename: str, last: int) -> Rna:
     locs: list[tuple[str, int]] = []
-    loc_line: dict[str, int] = {}
+    index: dict[str, int] = {}
     initial = None
-    accepting: set[str] = set()
+    accepting: list[tuple[str, int]] = []
     raw_trans: list[tuple[int, str, int | None, str, tuple[str, ...]]] = []
     for no, toks in items:
         d = toks[0]
         if d == "loc":
-            if len(toks) != 3:
-                raise ParseError(filename, no, "loc: `loc name arity`")
-            if toks[1] in loc_line:
-                raise ParseError(filename, no, f"duplicate location {toks[1]!r}")
-            arity = _int(toks[2], filename, no, "arity")
+            name, arity = _args(toks, "loc name arity", filename, no)
+            if name in index:
+                raise ParseError(filename, no, f"duplicate location {name!r}")
+            arity = _int(arity, filename, no, "arity")
             if arity < 0:
                 raise ParseError(filename, no, "arity must be nonnegative")
-            locs.append((toks[1], arity))
-            loc_line[toks[1]] = no
+            index[name] = len(locs)
+            locs.append((name, arity))
         elif d == "initial":
             _once(initial, d, filename, no)
             (name,) = _args(toks, "initial location", filename, no)
-            initial = (no, name)
+            initial = (name, no)
         elif d == "accepting":
-            accepting.update(toks[1:])
+            accepting += [(name, no) for name in toks[1:]]
         elif d == "trans":
             if len(toks) < 3:
                 raise ParseError(filename, no, "trans: `trans src guard target sources...`")
             src = toks[1]
             if toks[2] == "fresh":
-                guard = None
-                rest = toks[3:]
+                guard, rest = None, toks[3:]
             elif toks[2] == "eq":
                 if len(toks) < 4:
                     raise ParseError(filename, no, "eq guard needs a register index")
-                guard = _int(toks[3], filename, no, "guard register")
-                rest = toks[4:]
+                guard, rest = _int(toks[3], filename, no, "guard register"), toks[4:]
             else:
                 raise ParseError(filename, no, f"unknown guard {toks[2]!r}")
             if not rest:
@@ -312,21 +301,17 @@ def _parse_rna(items, filename: str, last: int) -> Rna:
         raise ParseError(filename, last, "no locations declared")
     if initial is None:
         raise ParseError(filename, last, "missing initial directive")
-    index = {name: i for i, (name, _) in enumerate(locs)}
 
     def loc_of(name: str, no: int) -> int:
         if name not in index:
             raise ParseError(filename, no, f"unknown location {name!r}")
         return index[name]
 
-    ino, iname = initial
-    init_idx = loc_of(iname, ino)
+    init_idx = loc_of(*initial)
     if locs[init_idx][1] != 0:
-        raise ParseError(filename, ino, "initial location must have arity 0")
-    acc_idx = set()
-    for name in accepting:
-        acc_idx.add(loc_of(name, last))
-    rules: list[list] = [[None] * (arity + 1) for _, arity in locs]
+        raise ParseError(filename, initial[1], "initial location must have arity 0")
+    acc_idx = frozenset(loc_of(*a) for a in accepting)
+    rules: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}  # in file order
     for no, src, guard, target, sources in raw_trans:
         si = loc_of(src, no)
         arity = locs[si][1]
@@ -338,23 +323,30 @@ def _parse_rna(items, filename: str, last: int) -> Rna:
         for tok in sources:
             if tok == "x":
                 asg.append(X_SOURCE)
-            elif tok.startswith("r"):
-                asg.append(_int(tok[1:], filename, no, "assignment register"))
+            elif tok[:1] == "r" and (k := _int(tok[1:], filename, no, "assignment register")) > 0:
+                asg.append(k)
             else:
                 raise ParseError(filename, no, f"bad assignment source {tok!r} (use x or rK)")
-        if len(asg) != locs[ti][1]:
-            raise ParseError(
-                filename, no, f"assignment must fill all {locs[ti][1]} registers of {target!r}"
-            )
-        if rules[si][g] is not None:
+        if (si, g) in rules:
             raise ParseError(filename, no, f"duplicate rule for {src!r} and this guard")
-        rules[si][g] = (ti, tuple(asg))
-    for i, (name, arity) in enumerate(locs):
-        for g in range(arity + 1):
-            if rules[i][g] is None:
-                gname = "fresh" if g == arity else f"eq {g + 1}"
-                raise ParseError(filename, last, f"missing rule for {name!r} on guard {gname}")
-    return Rna(tuple(locs), init_idx, frozenset(acc_idx), tuple(tuple(r) for r in rules))
+        rules[(si, g)] = (ti, tuple(asg))
+
+    def missing(k: tuple[int, int]) -> str:
+        name, arity = locs[k[0]]
+        return f"rule for {name!r} on guard " + ("fresh" if k[1] == arity else f"eq {k[1] + 1}")
+
+    keys = ([(i, g) for g in range(arity + 1)] for i, (_, arity) in enumerate(locs))
+    groups = _total(rules, keys, missing, filename, last)
+    try:
+        return Rna(locs, init_idx, acc_idx, groups)
+    except ValueError:
+        # only a rule can be ill formed here: report the first one in the file
+        for (no, *_), (key, rule) in zip(raw_trans, rules.items()):
+            try:
+                check_rule(locs, *key, *rule)
+            except ValueError as e:
+                raise ParseError(filename, no, str(e)) from None
+        raise
 
 
 # --------------------------------------------------------------- serializers

@@ -122,7 +122,8 @@ class Rna:
     rule fired when the input equals register g+1, the last entry is the
     fresh-input rule. Each rule is (target, assignment); assignment lists
     one source per target register, either X_SOURCE (the input letter) or
-    a 1-based source register index.
+    a 1-based source register index. Each rule is checked by `check_rule`,
+    which the file parser also uses to report a bad rule at its line.
     """
 
     locations: tuple[tuple[str, int], ...]
@@ -160,29 +161,33 @@ class Rna:
                     "plus fresh), got {0}".format(len(group))
                 )
             for g, (target, asg) in enumerate(group):
-                if not 0 <= target < n:
-                    raise ValueError(f"location {name}: rule target out of range")
-                t_arity = self.locations[target][1]
-                if len(asg) != t_arity:
-                    raise ValueError(
-                        f"location {name}: assignment must fill all {t_arity} registers "
-                        f"of {self.locations[target][0]}"
-                    )
-                for s in asg:
-                    if not 0 <= s <= arity:
-                        raise ValueError(f"location {name}: assignment source {s} invalid")
-                # on guard "x == reg g+1" the input aliases that register
-                aliased = [g + 1 if s == X_SOURCE and g < arity else s for s in asg]
-                if len(set(aliased)) != len(aliased):
-                    raise ValueError(
-                        f"location {name}: assignment would duplicate an atom in registers"
-                    )
+                check_rule(self.locations, loc, g, target, asg)
 
     def arity(self, loc: int) -> int:
         return self.locations[loc][1]
 
     def loc_name(self, loc: int) -> str:
         return self.locations[loc][0]
+
+
+def check_rule(locations, loc: int, guard: int, target: int, assignment) -> None:
+    """Raise ValueError unless `loc`'s rule on `guard` (a 0-based register, or the arity
+    for fresh) moves to a location and fills its registers with distinct atoms."""
+    name, arity = locations[loc]
+    if not 0 <= target < len(locations):
+        raise ValueError(f"location {name}: rule target out of range")
+    t_name, t_arity = locations[target]
+    if len(assignment) != t_arity:
+        raise ValueError(
+            f"location {name}: assignment must fill all {t_arity} registers of {t_name}"
+        )
+    for s in assignment:
+        if not 0 <= s <= arity:
+            raise ValueError(f"location {name}: assignment source {s} invalid")
+    # on guard "x == reg g+1" the input aliases that register
+    aliased = [guard + 1 if s == X_SOURCE and guard < arity else s for s in assignment]
+    if len(set(aliased)) != len(aliased):
+        raise ValueError(f"location {name}: assignment would duplicate an atom in registers")
 
 
 State = tuple[int, tuple[Atom, ...]]

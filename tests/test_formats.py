@@ -122,15 +122,26 @@ def test_bad_alphabet_reports_the_alphabet_line(head, rest, symbols, message):
     assert (err.value.line, err.value.message) == (3, message)
 
 
-@pytest.mark.parametrize(
-    "name, line, message",
-    [
-        ("fsm_source_range.aut", 6, "trans source 7 out of range for `states 1`"),
-        ("fsm_target_range.aut", 5, "trans target 5 out of range for `states 1`"),
-        ("moore_output_range.aut", 6, "output state 3 out of range for `states 1`"),
-        ("mealy_output_range.aut", 6, "output state -2 out of range for `states 1`"),
-    ],
-)
+def _pinned_errors() -> list[tuple[str, int, str]]:
+    """(fixture, line, message) of every bad fixture, from tests/golden/parse-errors.txt."""
+    rows = []
+    text = (FIXTURES.parent / "tests" / "golden" / "parse-errors.txt").read_text()
+    for row in text.splitlines():
+        name, line, message = row.split(":", 2)
+        rows.append((name, int(line), message.removeprefix(" ")))
+    return rows
+
+
+PINNED_ERRORS = _pinned_errors()
+
+
+def test_every_bad_fixture_has_a_pinned_error():
+    assert [name for name, _, _ in PINNED_ERRORS] == BAD_FIXTURES
+
+
+# every bad fixture, each reported at the line that names its cause (or at
+# the last line for an item the file never gives)
+@pytest.mark.parametrize("name, line, message", PINNED_ERRORS)
 def test_out_of_range_state_reports_its_line(name, line, message, capsys):
     path = FIXTURES / "bad" / name
     with pytest.raises(ParseError) as err:
@@ -149,6 +160,20 @@ def test_out_of_range_source_before_states_directive():
         3,
         "trans source -1 out of range for `states 1`",
     )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kind moore\nalphabet a\nstates -1\ninitial 0\n",
+        "kind wa\nalphabet a\ndim -1\ninit 0 1\n",
+    ],
+)
+def test_nonpositive_count_reports_its_line(text):
+    d = text.split("\n")[2].split()[0]
+    with pytest.raises(ParseError) as err:
+        parse_machine(text, "m")
+    assert (err.value.line, err.value.message) == (3, f"{d} must be positive")
 
 
 def test_missing_transition_message():
