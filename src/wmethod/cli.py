@@ -169,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cover", help="state cover file (computed if omitted)")
     g.add_argument("--charset", help="characterization set file (computed if omitted)")
     g.add_argument("--prefix-closed", action="store_true", help="prefix-close the suite")
-    g.add_argument("--allow-nonminimal", action="store_true", help="minimize first if needed")
+    g.add_argument("--allow-nonminimal", action="store_true",
+                   help="minimize first if needed (fsm and wa; an rna cannot be minimized)")
     g.add_argument("-o", "--output", required=True, help="suite file to write")
     g.add_argument("spec")
 

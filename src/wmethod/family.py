@@ -147,8 +147,13 @@ class _RnaFamily:
 
     def analyze(self, m: N.Rna, allow: bool) -> tuple:
         """(m, P, W); char_set_rna raises NotMinimalError at the first
-        equivalent state pair. No minimizer exists, so allow is ignored."""
-        return m, self.cover(m), self.charset(m)
+        equivalent state pair; no minimizer exists, and with allow it says so."""
+        try:
+            return m, self.cover(m), self.charset(m)
+        except NotMinimalError as e:
+            if not allow:
+                raise
+            raise NotMinimalError(f"{e} (rna machines cannot be minimized)") from None
 
     def cover(self, m: N.Rna) -> N.OrbitSuite:
         return N.state_cover_rna(m)

@@ -232,10 +232,10 @@ class Suite:
 
     alphabet: Alphabet
     words: tuple[Word, ...] = field(default=())
-    # Optional: the suite-file line of each word, as read, and the words'
-    # execution plan, as the reader found it. Kept only when the words
-    # came in canonical order, so that lines() need not render them again
-    # and plan need not be computed.
+    # Optional: the suite-file line of each word, as read, or as joined from
+    # its factors' lines, and the words' execution plan, as the reader found
+    # it. Kept only when the words came in canonical order, so that lines()
+    # need not render them again and plan need not be computed.
     texts: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
     planned: Plan | None = field(default=None, compare=False, repr=False)
 
@@ -347,11 +347,27 @@ def words_upto(alphabet: Alphabet, k: int) -> Suite:
     return Suite(alphabet, tuple(map(Word, sequences_upto(k, lambda _: letters))))
 
 
+def _lined(alphabet: Alphabet, lines: dict[tuple, str]) -> Suite:
+    """The words whose symbols key `lines`, in canonical order, with their lines."""
+    order = canonical(tuple(lines), list(lines))
+    return Suite(alphabet, tuple(map(Word, order)), tuple(map(lines.__getitem__, order)))
+
+
 def concat_suites(a: Suite, b: Suite) -> Suite:
-    """Pairwise concatenation {u.v | u in a, v in b}, deduplicated."""
+    """Pairwise concatenation {u.v | u in a, v in b}, deduplicated. Each factor
+    word is rendered once, and a product's line is joined from its factors'."""
     if a.alphabet != b.alphabet:
         raise ValueError("cannot concatenate suites over different alphabets")
-    return Suite(a.alphabet, tuple(u + v for u in a for v in b))
+    tails = list(zip(map(attrgetter("syms"), b), b.lines()))
+    out: dict[tuple, str] = {}
+    for u, line in zip(a, a.lines()):
+        us = u.syms
+        head = line + " " if us else ""
+        for vs, tail in tails:
+            s = us + vs
+            if s not in out:
+                out[s] = head + tail if vs else line
+    return _lined(a.alphabet, out)
 
 
 def check_w_inputs(p: Suite, k: int, w: Suite) -> None:
@@ -375,12 +391,15 @@ def prefix_close(t: Suite) -> Suite:
     """Smallest prefix-closed superset of t.
 
     The set stays prefix-closed as it grows, so a word's prefixes are
-    added from the longest down, up to the first one already in it.
+    added from the longest down, up to the first one already in it. Tokens
+    hold no space, so a prefix's line is its word's cut at a space.
     """
-    out: set[tuple[int, ...]] = set()
-    for w in t:
-        for n in range(len(w.syms), -1, -1):
-            if w.syms[:n] in out:
+    out = {(): EPS_TOKEN} if t.words else {}
+    for w, line in zip(t, t.lines()):
+        syms = w.syms
+        for n in range(len(syms), 0, -1):
+            if syms[:n] in out:
                 break
-            out.add(w.syms[:n])
-    return Suite(t.alphabet, tuple(map(Word, out)))
+            out[syms[:n]] = line
+            line = line[: line.rfind(" ")]
+    return _lined(t.alphabet, out)

@@ -561,3 +561,21 @@ def reference_pair_bfs(a: Rna, b: Rna, start_a, start_b):
                 visited.add(key)
                 queue.append((na, nb, word + (x,)))
     return True, None
+
+
+def reference_concat_suites(a: Suite, b: Suite) -> Suite:
+    """Pairwise concatenation as Word sums, rendered only when written."""
+    if a.alphabet != b.alphabet:
+        raise ValueError("cannot concatenate suites over different alphabets")
+    return Suite(a.alphabet, tuple(u + v for u in a for v in b))
+
+
+def reference_prefix_close(t: Suite) -> Suite:
+    """Prefix closure as a set of symbol tuples, rendered only when written."""
+    out: set[tuple[int, ...]] = set()
+    for w in t:
+        for n in range(len(w.syms), -1, -1):
+            if w.syms[:n] in out:
+                break
+            out.add(w.syms[:n])
+    return Suite(t.alphabet, tuple(map(Word, out)))

@@ -12,6 +12,7 @@ from wmethod.formats import parse_machine, parse_suite, serialize_suite
 from wmethod import (
     Alphabet,
     MutationSpec,
+    Word,
     char_set,
     completeness_experiment,
     equiv,
@@ -415,6 +416,22 @@ def test_allow_nonminimal_generates_from_the_minimization(tmp_path, machine):
     assert allowed.read_text() == direct.read_text()
 
 
+@pytest.mark.parametrize("allow", [False, True])
+def test_allow_nonminimal_says_an_rna_cannot_be_minimized(tmp_path, capsys, allow):
+    # same_twice.rna with a second rejecting sink, equivalent to the first
+    text = (FIXTURES / "same_twice.rna").read_text()
+    text = text.replace("loc q3 0\n", "loc q3 0\nloc q4 0\n")
+    text = text.replace("trans q2 fresh q3", "trans q2 fresh q4") + "trans q4 fresh q4\n"
+    spec = tmp_path / "two_sinks.rna"
+    spec.write_text(text)
+    flag = ["--allow-nonminimal"] if allow else []
+    code, _ = run_cli("gen", "--k", "0", *flag, "-o", str(tmp_path / "s.txt"), str(spec))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "machine is not minimal" in err
+    assert ("rna machines cannot be minimized" in err) == allow
+
+
 @pytest.mark.parametrize("spec", ["coffee.aut", "binary_value.wa", "same_twice.rna"])
 @pytest.mark.parametrize("command", ["gen", "faultsim"])
 def test_negative_k_is_a_usage_error(tmp_path, capsys, spec, command):
@@ -540,3 +557,32 @@ def test_fsm_and_wa_commands_stay_off_the_orbit_path(tmp_path, monkeypatch, argv
     monkeypatch.setattr(formats_module, "parse_patterns", forbidden)
     argv = [str(suite) if a == "{out}" else a for a in argv]
     assert main(argv, out=io.StringIO()) in (0, 1)
+
+
+# ------------------------------------------- each suite line is formed once
+
+
+def _chain_dfa(n: int) -> str:
+    """q -a-> q+1 mod n, q -b-> 0, only state 0 accepting: minimal."""
+    trans = "".join(f"trans {q} a {(q + 1) % n}\ntrans {q} b 0\n" for q in range(n))
+    return f"kind dfa\nalphabet a b\nstates {n}\ninitial 0\naccepting 0\n{trans}"
+
+
+@pytest.mark.parametrize("extra", [[], ["--prefix-closed"]])
+def test_gen_renders_only_the_factor_words(tmp_path, monkeypatch, extra):
+    spec = tmp_path / "chain12.aut"
+    spec.write_text(_chain_dfa(12))
+    renders = 0
+    render = Word.render
+
+    def counting(self, alphabet):
+        nonlocal renders
+        renders += 1
+        return render(self, alphabet)
+
+    monkeypatch.setattr(Word, "render", counting)
+    code, out = run_cli("gen", "--k", "1", *extra, "-o", str(tmp_path / "s.txt"), str(spec))
+    assert code == 0
+    assert "|P| = 12\n|W| = 11\n" in out
+    # |P| + |Sigma^{<=2}| + |W|: every suite line is joined from these
+    assert renders <= 12 + 7 + 11

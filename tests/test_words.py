@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_concat_suites, reference_prefix_close
 from wmethod import (
     EPSILON,
     Alphabet,
@@ -15,6 +16,7 @@ from wmethod import (
     w_suite,
     words_upto,
 )
+from wmethod.formats import parse_suite, serialize_suite
 from wmethod.words import prefix_plan
 
 AB2 = Alphabet(("a", "b"))
@@ -199,3 +201,53 @@ def test_w_suite_contains_pw(p, w, k):
     p = Suite.of(AB2, list(p) + [EPSILON])
     w = Suite.of(AB2, list(w) + [EPSILON])
     assert set(concat_suites(p, w)) <= set(w_suite(p, AB2, k, w))
+
+
+# Symbol names of different lengths, so that a line cut or joined at the
+# wrong place shows.
+NAMES = ("a", "bb", "c1", "10", "xyz")
+
+
+@st.composite
+def factor_suites(draw, ab):
+    """A suite over ab, with or without the empty word, that carries its
+    lines (a canonical file, a concatenation) or does not (built from
+    words, a shuffled file)."""
+    letters = st.lists(st.integers(0, len(ab) - 1), max_size=3).map(tuple)
+    words = draw(st.lists(letters, max_size=5)) + draw(st.sampled_from([[], [()]]))
+    plain = Suite.of(ab, words)
+    form = draw(st.sampled_from(["words", "canonical file", "shuffled file", "joined"]))
+    if form == "words":
+        return plain
+    if form == "joined":
+        return concat_suites(plain, Suite.of(ab, [EPSILON]))
+    lines = [" " + line.replace(" ", "   ") for line in plain.lines()]
+    if form == "shuffled file":
+        lines = draw(st.permutations(lines))
+    return parse_suite("".join(line + "\n" for line in lines), ab)
+
+
+@st.composite
+def factor_pairs(draw):
+    ab = Alphabet(tuple(draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True))))
+    a = draw(factor_suites(ab))
+    # words of a in b make products that overlap
+    b = draw(factor_suites(ab))
+    if draw(st.booleans()):
+        b = Suite.of(ab, list(b) + list(a)[:2])
+    return ab, a, b
+
+
+@given(factor_pairs())
+@settings(max_examples=150)
+def test_carried_lines_match_the_reference_assembly(pair):
+    ab, a, b = pair
+    for got, ref in [
+        (concat_suites(a, b), reference_concat_suites(a, b)),
+        (prefix_close(a), reference_prefix_close(a)),
+        (prefix_close(b), reference_prefix_close(b)),
+    ]:
+        assert got.words == ref.words
+        assert got.texts is not None
+        assert list(got.lines()) == [w.render(ab) for w in got]
+        assert serialize_suite(got) == serialize_suite(ref)
