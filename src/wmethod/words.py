@@ -14,8 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter, lt
+from operator import attrgetter, itemgetter, lt
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 EPS_TOKEN = "-eps-"
@@ -75,6 +74,13 @@ class Word:
 
     def __post_init__(self):
         object.__setattr__(self, "syms", tuple(self.syms))
+
+    @classmethod
+    def _of(cls, syms: tuple[int, ...]) -> "Word":
+        """A word of a symbol tuple, taken without coercion."""
+        w = cls.__new__(cls)
+        object.__setattr__(w, "syms", syms)
+        return w
 
     def __len__(self) -> int:
         return len(self.syms)
@@ -160,10 +166,14 @@ def prefix_plan(words: Sequence[tuple]) -> Plan:
     (`prefix_walk`); the canonical order makes every anchor an earlier
     word.
     """
-    plan: list = prefix_walk(words)[0]
-    for i, a in enumerate(plan):
-        plan[i] = (a, words[i], len(words[a]) if a >= 0 else 0)
-    return tuple(plan)
+    return _anchored(words, prefix_walk(words)[0])
+
+
+def _anchored(words: Sequence[tuple], anchors: list[int]) -> Plan:
+    """The plan that starts each word from its anchor, built in the `anchors` list."""
+    for i, a in enumerate(anchors):
+        anchors[i] = (a, words[i], len(words[a]) if a >= 0 else 0)
+    return tuple(anchors)
 
 
 def execute(plan: Plan, init: State, step: Callable[[State, object], State]) -> Iterator[State]:
@@ -235,7 +245,7 @@ class Suite:
     # Optional: the suite-file line of each word, as read, or as joined from
     # its factors' lines, and the words' execution plan, as the reader found
     # it. Kept only when the words came in canonical order, so that lines()
-    # need not render them again and plan need not be computed.
+    # need not render them again and plan is the reader's or walks the lines.
     texts: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
     planned: Plan | None = field(default=None, compare=False, repr=False)
 
@@ -253,7 +263,7 @@ class Suite:
 
     def _check(self, seqs: list[tuple]) -> None:
         valid = range(len(self.alphabet))
-        if not set(chain.from_iterable(seqs)).issubset(valid):
+        if not set().union(*seqs).issubset(valid):
             bad = next(s for syms in seqs for s in syms if s not in valid)
             raise ValueError(f"symbol index {bad} out of range for alphabet of size {len(valid)}")
 
@@ -287,10 +297,15 @@ class Suite:
 
     @cached_property
     def plan(self) -> Plan:
-        """The prefix-sharing execution plan of the words (see `prefix_plan`)."""
+        """The prefix-sharing execution plan of the words (see `prefix_plan`),
+        walked on their lines when the suite carries them, as a file's are."""
         if self.planned is not None:
             return self.planned
-        return prefix_plan(list(map(self._seq, self.words)))
+        seqs = list(map(self._seq, self.words))
+        if self.texts is None:
+            return prefix_plan(seqs)
+        keys = ["" if line == EPS_TOKEN else line for line in self.texts]
+        return _anchored(seqs, prefix_walk(keys, " ")[0])
 
     def lines(self) -> Iterable[str]:
         """The rendering of every word, in suite order: one suite-file line each."""
@@ -347,26 +362,29 @@ def words_upto(alphabet: Alphabet, k: int) -> Suite:
     return Suite(alphabet, tuple(map(Word, sequences_upto(k, lambda _: letters))))
 
 
-def _lined(alphabet: Alphabet, lines: dict[tuple, str]) -> Suite:
-    """The words whose symbols key `lines`, in canonical order, with their lines."""
-    order = canonical(tuple(lines), list(lines))
-    return Suite(alphabet, tuple(map(Word, order)), tuple(map(lines.__getitem__, order)))
+def _lined(alphabet: Alphabet, words: dict[str, tuple]) -> Suite:
+    """The words that `words` maps their lines to, in canonical order, with
+    their lines: sorted on the symbols, then stably on length."""
+    lines = sorted(words, key=words.__getitem__)
+    lines.sort(key=dict(zip(words, map(len, words.values()))).__getitem__)
+    return Suite(alphabet, tuple(map(Word._of, map(words.__getitem__, lines))), tuple(lines))
 
 
 def concat_suites(a: Suite, b: Suite) -> Suite:
     """Pairwise concatenation {u.v | u in a, v in b}, deduplicated. Each factor
-    word is rendered once, and a product's line is joined from its factors'."""
+    word is rendered once, a product's line is joined from its factors', and
+    products are deduplicated on their lines: a line names one word."""
     if a.alphabet != b.alphabet:
         raise ValueError("cannot concatenate suites over different alphabets")
-    tails = list(zip(map(attrgetter("syms"), b), b.lines()))
-    out: dict[tuple, str] = {}
+    tails = list(zip(b.lines(), map(attrgetter("syms"), b)))
+    out: dict[str, tuple] = {}
     for u, line in zip(a, a.lines()):
         us = u.syms
         head = line + " " if us else ""
-        for vs, tail in tails:
-            s = us + vs
-            if s not in out:
-                out[s] = head + tail if vs else line
+        for tail, vs in tails:
+            text = head + tail if vs else line
+            if text not in out:
+                out[text] = us + vs
     return _lined(a.alphabet, out)
 
 
@@ -394,12 +412,12 @@ def prefix_close(t: Suite) -> Suite:
     added from the longest down, up to the first one already in it. Tokens
     hold no space, so a prefix's line is its word's cut at a space.
     """
-    out = {(): EPS_TOKEN} if t.words else {}
+    out = {EPS_TOKEN: ()} if t.words else {}
     for w, line in zip(t, t.lines()):
         syms = w.syms
         for n in range(len(syms), 0, -1):
-            if syms[:n] in out:
+            if line in out:
                 break
-            out[syms[:n]] = line
+            out[line] = syms[:n]
             line = line[: line.rfind(" ")]
     return _lined(t.alphabet, out)

@@ -45,6 +45,12 @@ def load(name: str):
     return parse_machine(path.read_text(), str(path))
 
 
+def chain_dfa(n: int) -> str:
+    """A dfa file: q -a-> q+1 mod n, q -b-> 0, only state 0 accepting; minimal."""
+    trans = "".join(f"trans {q} a {(q + 1) % n}\ntrans {q} b 0\n" for q in range(n))
+    return f"kind dfa\nalphabet a b\nstates {n}\ninitial 0\naccepting 0\n{trans}"
+
+
 def random_fsm(rng: random.Random, max_states=6, max_syms=3, kind="dfa", syms=None) -> Fsm:
     n = rng.randint(1, max_states)
     syms = syms if syms is not None else rng.randint(1, max_syms)

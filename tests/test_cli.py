@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from helpers import FIXTURES
+from helpers import FIXTURES, chain_dfa
 from wmethod import cli
 from wmethod.cli import main
 from wmethod.formats import parse_machine, parse_suite, serialize_suite
@@ -562,16 +562,10 @@ def test_fsm_and_wa_commands_stay_off_the_orbit_path(tmp_path, monkeypatch, argv
 # ------------------------------------------- each suite line is formed once
 
 
-def _chain_dfa(n: int) -> str:
-    """q -a-> q+1 mod n, q -b-> 0, only state 0 accepting: minimal."""
-    trans = "".join(f"trans {q} a {(q + 1) % n}\ntrans {q} b 0\n" for q in range(n))
-    return f"kind dfa\nalphabet a b\nstates {n}\ninitial 0\naccepting 0\n{trans}"
-
-
 @pytest.mark.parametrize("extra", [[], ["--prefix-closed"]])
 def test_gen_renders_only_the_factor_words(tmp_path, monkeypatch, extra):
     spec = tmp_path / "chain12.aut"
-    spec.write_text(_chain_dfa(12))
+    spec.write_text(chain_dfa(12))
     renders = 0
     render = Word.render
 

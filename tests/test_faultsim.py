@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import load, random_minimal_fsm, random_minimal_rna, random_minimal_wa
+from helpers import chain_dfa, load, random_minimal_fsm, random_minimal_rna, random_minimal_wa
 from wmethod import (
     MutationSpec,
     NotMinimalError,
@@ -31,8 +31,10 @@ from wmethod import (
 from wmethod import fsm as fsm_module
 from wmethod import nominal as nominal_module
 from wmethod import weighted as weighted_module
+from wmethod import words as words_module
 from wmethod.family import family_of
 from wmethod.faultsim import _mutants, redirect_transition, set_output
+from wmethod.formats import parse_machine
 
 
 def test_redirect_reproduces_known_faults(coffee, coffee_i1, coffee_i2):
@@ -255,3 +257,25 @@ def test_boundary_rna(same_twice):
         weak_cover_map_rna(big, p)  # no weak cover: out of the domain
     assert all(v.passed for v in agree_on_rna(same_twice, big, suite))
     assert not equiv_rna(same_twice, big).equivalent
+
+
+def test_experiment_plans_its_suite_on_the_suite_lines(monkeypatch):
+    spec = parse_machine(chain_dfa(12))
+    ms = MutationSpec(1, 20, 7)
+    real = words_module.prefix_plan
+    calls = []
+
+    def counting(words):
+        calls.append(len(words))
+        return real(words)
+
+    monkeypatch.setattr(words_module, "prefix_plan", counting)
+    report = completeness_experiment(spec, 1, ms)
+    # the W suite carries its lines and is planned on them
+    assert calls == []
+    # the symbol-tuple walk gives the same plan, verdicts and report
+    monkeypatch.setattr(Suite, "plan", property(lambda t: real([w.syms for w in t])))
+    tuple_walk = completeness_experiment(spec, 1, ms)
+    assert report.results == tuple_walk.results
+    assert report.render() == tuple_walk.render()
+    assert any(r.killed_by is not None for r in report.results)

@@ -16,7 +16,7 @@ from wmethod import (
     w_suite,
     words_upto,
 )
-from wmethod.formats import parse_suite, serialize_suite
+from wmethod.formats import ParseError, parse_suite, serialize_suite
 from wmethod.words import prefix_plan
 
 AB2 = Alphabet(("a", "b"))
@@ -251,3 +251,65 @@ def test_carried_lines_match_the_reference_assembly(pair):
         assert got.texts is not None
         assert list(got.lines()) == [w.render(ab) for w in got]
         assert serialize_suite(got) == serialize_suite(ref)
+
+
+# Names where one is a string prefix of another, so that a line which is a
+# string prefix of another line but not a token prefix ("a 1" of "a 10",
+# "a" of "ab a") shows.
+PREFIX_NAMES = ("a", "ab", "a1", "1", "10")
+
+
+@st.composite
+def prefix_named_pairs(draw):
+    names = draw(st.permutations(PREFIX_NAMES))
+    ab = Alphabet(tuple(names[: draw(st.integers(1, len(names)))]))
+    a = draw(factor_suites(ab))
+    b = draw(factor_suites(ab))
+    if draw(st.booleans()):
+        b = Suite.of(ab, list(b) + list(a)[:2])
+    return ab, a, b
+
+
+@given(prefix_named_pairs())
+@settings(max_examples=150)
+def test_line_keyed_assembly_and_line_plan_match_the_reference(pair):
+    ab, a, b = pair
+    prod = concat_suites(a, b)
+    for got, ref in [
+        (prod, reference_concat_suites(a, b)),
+        (concat_suites(prod, a), reference_concat_suites(reference_concat_suites(a, b), a)),
+        (prefix_close(a), reference_prefix_close(a)),
+        (prefix_close(prod), reference_prefix_close(reference_concat_suites(a, b))),
+    ]:
+        assert got.words == ref.words
+        assert list(got.lines()) == list(ref.lines())
+        # planned on its lines, not given a plan
+        assert got.texts is not None and got.planned is None
+        assert got.plan == prefix_plan([w.syms for w in got])
+
+
+def test_suite_checks_reject_a_bad_symbol_on_every_path():
+    with pytest.raises(ValueError, match="symbol index 2 out of range"):
+        Suite(AB2, (EPSILON, Word((0, 2))))
+    with pytest.raises(ValueError, match="symbol index -1 out of range"):
+        Suite.of(AB2, [(0,), (1, -1)])
+    with pytest.raises(ValueError, match="symbol 'c' not in alphabet"):
+        Suite.from_names(AB2, [["a"], ["b", "c"]])
+    with pytest.raises(ParseError, match="symbol 'c' not in alphabet") as err:
+        parse_suite("-eps-\na\nb c\n", AB2)
+    assert err.value.line == 3
+    a, b = Suite.of(AB2, [EPSILON, (0,)]), Suite.of(AB3, [EPSILON, (2,)])
+    with pytest.raises(ValueError, match="different alphabets"):
+        concat_suites(a, b)
+    with pytest.raises(ValueError, match="different alphabets"):
+        w_suite(a, AB3, 0, b)
+
+
+@pytest.mark.parametrize("ab", [AB2, AB3])
+def test_product_words_are_the_constructors_words(ab):
+    p = Suite.of(ab, [EPSILON, (0,), (1, 0)])
+    w = Suite.of(ab, [EPSILON, (1,), (0, 1)])
+    for t in (concat_suites(p, w), w_suite(p, ab, 1, w), prefix_close(w_suite(p, ab, 1, w))):
+        assert t.words == Suite(ab, t.words).words
+        assert t.words == Suite(ab, t.words[::-1]).words
+        assert all(type(x.syms) is tuple for x in t)
