@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Mapping
 
 from .words import (
@@ -22,9 +23,11 @@ from .words import (
     Suite,
     Verdict,
     Word,
+    cover_map,
     execute,
     reach,
     unseen,
+    verify_cover_map,
 )
 
 KINDS = ("dfa", "moore", "mealy")
@@ -177,20 +180,12 @@ def state_cover(m: Fsm) -> Suite:
 
 
 def is_char_set(m: Fsm, w: Suite) -> bool:
-    """Does w distinguish every pair of states that any word distinguishes?"""
+    """Does w distinguish every pair of states that any word distinguishes?
+    Equivalent states agree on w, so it does iff w's outputs make as many blocks."""
     if not w.contains_epsilon():
         raise ValueError("a characterization set must contain the empty word")
-    full = _refine_partition(m, list(range(m.n_states)))
-    by_w = {}
-    for q in range(m.n_states):
-        key = tuple(m.signature(_run_from(m, q, v)) for v in w)
-        by_w.setdefault(key, set()).add(q)
-    # w-equivalence must imply full equivalence
-    for group in by_w.values():
-        blocks = {full[q] for q in group}
-        if len(blocks) > 1:
-            return False
-    return True
+    keys = {tuple(m.signature(_run_from(m, q, v)) for v in w) for q in range(m.n_states)}
+    return len(keys) == len(set(_refine_partition(m, list(range(m.n_states))).values()))
 
 
 def _run_from(m: Fsm, q: int, w: Word) -> int:
@@ -241,45 +236,22 @@ def char_set(m: Fsm) -> Suite:
     return Suite(m.alphabet, tuple(chosen))
 
 
+def _cover_args(m: Fsm) -> tuple:
+    """The cover map's view of m: a word's extensions (a, w.a), its state, its text."""
+    letters = [(a, Word((a,))) for a in range(len(m.alphabet))]
+    render = partial(Word.render, alphabet=m.alphabet)
+    return (lambda w: [(a, w + x) for a, x in letters]), partial(run, m), render
+
+
 def verify_weak_cover(m: Fsm, p: Suite, delta_p: Mapping[tuple[Word, int], Word]) -> bool:
     """Check the weak state cover square: delta_p(w, a) reaches the state of w.a."""
-    if not p.contains_epsilon():
-        raise ValueError("a weak state cover must contain the empty word")
-    for w in p:
-        for a in range(len(m.alphabet)):
-            try:
-                v = delta_p[(w, a)]
-            except KeyError:
-                raise ValueError(
-                    f"delta_p is not total: missing entry for ({w.render(m.alphabet)}, "
-                    f"{m.alphabet.symbols[a]})"
-                ) from None
-            if v not in p:
-                raise ValueError(
-                    f"delta_p value {v.render(m.alphabet)} is outside the cover"
-                )
-            if run(m, v) != run(m, w + Word((a,))):
-                return False
-    return True
+    return verify_cover_map(p, *_cover_args(m), delta_p)
 
 
 def weak_cover_map(m: Fsm, p: Suite) -> dict[tuple[Word, int], Word]:
-    """A delta_p witnessing that p is a weak state cover, if one exists.
-
-    Picks for every (w, a) the first word of p reaching the same state as
-    w.a; raises if some extension leaves the states covered by p.
-    """
-    reached = {}
-    for w in p:
-        reached.setdefault(run(m, w), w)
-    table = {}
-    for w in p:
-        for a in range(len(m.alphabet)):
-            q = run(m, w + Word((a,)))
-            if q not in reached:
-                raise ValueError(f"state {q} reached by an extension of the cover is not covered")
-            table[(w, a)] = reached[q]
-    return table
+    """A delta_p witnessing that p is a weak state cover, if one exists:
+    each (w, a) maps to the first word of p reaching the state of w.a."""
+    return cover_map(p, *_cover_args(m))
 
 
 def suite_values(m: Fsm, t: Suite) -> Iterator:

@@ -26,10 +26,12 @@ from .words import (
     Suite,
     Verdict,
     check_w_inputs,
+    cover_map,
     execute,
     reach,
     sequences_upto,
     unseen,
+    verify_cover_map,
 )
 
 Atom = int
@@ -298,35 +300,25 @@ def extend(w: SymbolicWord, c: Choice) -> SymbolicWord:
     return SymbolicWord(w.pattern + (x,))
 
 
+def _extensions(w: SymbolicWord) -> list[tuple[Choice, SymbolicWord]]:
+    return [(c, extend(w, c)) for c in extension_choices(w)]
+
+
+def _cover_args(a: Rna) -> tuple:
+    """The cover map's view of a: a pattern's extensions, the location of
+    its canonical instance (the pattern itself), and its text. Registers
+    hold distinct atoms, so the states at one location form one orbit."""
+    return _extensions, lambda t: rna_run(a, t.pattern)[0], SymbolicWord.render
+
+
 def verify_weak_cover_rna(
     a: Rna,
     p: OrbitSuite,
     delta_p: Mapping[tuple[SymbolicWord, Choice], SymbolicWord],
 ) -> bool:
-    """Check that delta_p closes p under one-letter extension.
-
-    For every pattern w in p and extension choice c, the pattern
-    delta_p(w, c) must reach the state reached by w extended with c up
-    to a renaming of atoms, that is, the same location: registers hold
-    pairwise distinct atoms, so the states at one location form one orbit.
-    """
-    if not p.contains_epsilon():
-        raise ValueError("a weak state cover must contain the empty pattern")
-    for w in p:
-        for c in extension_choices(w):
-            try:
-                t = delta_p[(w, c)]
-            except KeyError:
-                raise ValueError(
-                    f"delta_p is not total: missing entry for ({w.render()}, "
-                    f"{'fresh' if c is None else c})"
-                ) from None
-            if t not in p:
-                raise ValueError(f"delta_p value {t.render()} is outside the cover")
-            ext = extend(w, c)
-            if rna_run(a, instantiate(ext))[0] != rna_run(a, instantiate(t))[0]:
-                return False
-    return True
+    """Check that delta_p closes p under one-letter extension: delta_p(w, c)
+    reaches the location of w extended with c."""
+    return verify_cover_map(p, *_cover_args(a), delta_p)
 
 
 def state_cover_rna(a: Rna) -> OrbitSuite:
@@ -350,21 +342,7 @@ def weak_cover_map_rna(
     a: Rna, p: OrbitSuite
 ) -> dict[tuple[SymbolicWord, Choice], SymbolicWord]:
     """A delta_p witnessing that p is a weak state cover, if one exists."""
-    reached: dict[int, SymbolicWord] = {}
-    for t in p:
-        loc, _ = rna_run(a, instantiate(t))
-        reached.setdefault(loc, t)
-    table = {}
-    for w in p:
-        for c in extension_choices(w):
-            loc, _ = rna_run(a, instantiate(extend(w, c)))
-            if loc not in reached:
-                raise ValueError(
-                    f"location {a.loc_name(loc)} reached by an extension of the cover "
-                    "is not covered"
-                )
-            table[(w, c)] = reached[loc]
-    return table
+    return cover_map(p, *_cover_args(a))
 
 
 def w_suite_rna(p: OrbitSuite, k: int, w: OrbitSuite) -> OrbitSuite:
@@ -459,38 +437,16 @@ def is_minimal_rna(a: Rna) -> bool:
     return True
 
 
-def _instantiations(pat: SymbolicWord, pool: Sequence[Atom]) -> Iterator[tuple[Atom, ...]]:
-    """All concrete instances of pat whose atoms come from pool or are fresh.
-
-    Fresh atoms are drawn canonically above the pool, so the enumeration
-    is finite and covers one representative per relevant orbit.
-    """
-    k = pat.num_classes
-    fresh_base = max(pool, default=0)
-
-    def assign(cls: int, chosen: dict[int, Atom], used: set[Atom]):
-        if cls > k:
-            yield tuple(chosen[c] for c in pat.pattern)
-            return
-        options = [x for x in pool if x not in used]
-        options.append(fresh_base + cls)  # distinct fresh atom per class
-        for x in options:
-            chosen[cls] = x
-            used.add(x)
-            yield from assign(cls + 1, chosen, used)
-            used.discard(x)
-            del chosen[cls]
-
-    yield from assign(1, {}, set())
-
-
 def _w_distinguishes(a: Rna, sa: State, sb: State, w: OrbitSuite) -> bool:
-    pool = []
-    for x in (*sa[1], *sb[1]):
-        if x not in pool:
-            pool.append(x)
+    """Is some instance of a pattern of w over the pair's m distinct atoms
+    accepted from one state and rejected from the other? In a merged tail,
+    class c <= m is the c-th atom, and each class above m a fresh atom."""
+    pool = list(dict.fromkeys((*sa[1], *sb[1])))
+    m, top = len(pool), max(pool, default=0)
     for pat in w:
-        for word in _instantiations(pat, pool):
+        atoms = [0, *pool, *range(top + 1, top + 1 + pat.num_classes)]
+        for tail in _merged_tails(m, pat):
+            word = [atoms[c] for c in tail]
             la, _ = _run_from(a, sa, word)
             lb, _ = _run_from(a, sb, word)
             if (la in a.accepting) != (lb in a.accepting):

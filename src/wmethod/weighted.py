@@ -228,9 +228,9 @@ def forward_basis(a: Wa) -> VecSpaceBasis:
 def backward_basis(a: Wa) -> VecSpaceBasis:
     """Basis of the observation row space span{f^T M(w)}.
 
-    Witnesses are length-lex minimal; note that extending a witness w to
-    bw corresponds to multiplying its row by M(b) on the right, so the
-    witness set is closed under removing the first letter.
+    Witnesses are length-lex minimal and found in length-lex order: each
+    layer extends the last layer's words v to bv, letter b outermost. The
+    row of bv is the row of v times M(b), so witnesses are suffix-closed.
     """
     z = a._ints
     ech = _Echelon()
@@ -247,7 +247,6 @@ def backward_basis(a: Wa) -> VecSpaceBasis:
                     nxt.append((Word((s,)) + w, row))
         found += nxt
         layer = nxt
-    found.sort(key=lambda e: (len(e[0].syms), e[0].syms))
     return _basis(found)
 
 

@@ -1,5 +1,6 @@
-"""Words, alphabets, test suites, run verdicts, and the two walks every
-family shares: the suite executor and the breadth-first `reach`.
+"""Words, alphabets, test suites, run verdicts, the two walks every
+family shares (the suite executor and the breadth-first `reach`), and
+the weak state cover map and check of the fsm and rna families.
 
 Suites are always kept deduplicated and in canonical order
 (length-lexicographic by symbol index), so generated files are
@@ -15,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter, itemgetter, lt
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 EPS_TOKEN = "-eps-"
 
@@ -216,6 +217,47 @@ def reach(
             if new(nxt):
                 queue.append((word + (letter,), nxt))
                 yield queue[-1]
+
+
+def cover_map(p: Suite, extensions, state, render) -> dict:
+    """A delta_p witnessing that p is a weak state cover, if one exists.
+
+    `extensions(w)` gives the (letter, extended word) pairs of a word w,
+    `state(w)` the key of the state that w reaches, and `render(w)` its
+    text. Each (w, letter) maps to the first word of p that reaches the
+    extension's state; an extension to a state that no word of p reaches
+    raises ValueError.
+    """
+    reached: dict = {}
+    for w in p:
+        reached.setdefault(state(w), w)
+    table = {}
+    for w in p:
+        for letter, ext in extensions(w):
+            q = state(ext)
+            if q not in reached:
+                raise ValueError(f"the state of the extension {render(ext)} is not covered")
+            table[(w, letter)] = reached[q]
+    return table
+
+
+def verify_cover_map(p: Suite, extensions, state, render, delta_p: Mapping) -> bool:
+    """Check the weak state cover square for the arguments of `cover_map`:
+    every delta_p(w, letter) is a word of p reaching its extension's state.
+    p must hold the empty word, and delta_p an entry in p for each pair."""
+    if not p.contains_epsilon():
+        raise ValueError("a weak state cover must contain the empty word")
+    for w in p:
+        for letter, ext in extensions(w):
+            try:
+                v = delta_p[(w, letter)]
+            except KeyError:
+                raise ValueError(f"delta_p is not total: no entry for {render(ext)}") from None
+            if v not in p:
+                raise ValueError(f"delta_p value {render(v)} is outside the cover")
+            if state(v) != state(ext):
+                return False
+    return True
 
 
 def unseen(key: Callable[[State], Hashable] = lambda state: state) -> Callable[[State], bool]:

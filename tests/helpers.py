@@ -27,10 +27,12 @@ from wmethod import (
     is_minimal,
     lang_value,
     patterns_upto,
+    run,
     symbolic_run,
     wa_lang,
     words_upto,
 )
+from wmethod import fsm as F
 from wmethod import nominal as N
 from wmethod import weighted as W
 from wmethod.fsm import _run_from
@@ -585,3 +587,191 @@ def reference_prefix_close(t: Suite) -> Suite:
                 break
             out.add(w.syms[:n])
     return Suite(t.alphabet, tuple(map(Word, out)))
+
+
+# The weak-cover map and check, the char-set checks and the backward basis
+# as they were written per family before `words.cover_map`,
+# `words.verify_cover_map`, the merge enumeration of `nominal._merged_tails`
+# and the block count of `fsm.is_char_set` replaced them; kept as the
+# references of tests/test_differential.py.
+
+
+def reference_verify_weak_cover(m: Fsm, p: Suite, delta_p) -> bool:
+    """Check the weak state cover square: delta_p(w, a) reaches the state of w.a."""
+    if not p.contains_epsilon():
+        raise ValueError("a weak state cover must contain the empty word")
+    for w in p:
+        for a in range(len(m.alphabet)):
+            try:
+                v = delta_p[(w, a)]
+            except KeyError:
+                raise ValueError(
+                    f"delta_p is not total: missing entry for ({w.render(m.alphabet)}, "
+                    f"{m.alphabet.symbols[a]})"
+                ) from None
+            if v not in p:
+                raise ValueError(
+                    f"delta_p value {v.render(m.alphabet)} is outside the cover"
+                )
+            if run(m, v) != run(m, w + Word((a,))):
+                return False
+    return True
+
+
+def reference_weak_cover_map(m: Fsm, p: Suite) -> dict:
+    """A delta_p witnessing that p is a weak state cover, if one exists.
+
+    Picks for every (w, a) the first word of p reaching the same state as
+    w.a; raises if some extension leaves the states covered by p.
+    """
+    reached = {}
+    for w in p:
+        reached.setdefault(run(m, w), w)
+    table = {}
+    for w in p:
+        for a in range(len(m.alphabet)):
+            q = run(m, w + Word((a,)))
+            if q not in reached:
+                raise ValueError(f"state {q} reached by an extension of the cover is not covered")
+            table[(w, a)] = reached[q]
+    return table
+
+
+def reference_is_char_set(m: Fsm, w: Suite) -> bool:
+    """Does w distinguish every pair of states that any word distinguishes?"""
+    if not w.contains_epsilon():
+        raise ValueError("a characterization set must contain the empty word")
+    full = F._refine_partition(m, list(range(m.n_states)))
+    by_w = {}
+    for q in range(m.n_states):
+        key = tuple(m.signature(_run_from(m, q, v)) for v in w)
+        by_w.setdefault(key, set()).add(q)
+    # w-equivalence must imply full equivalence
+    for group in by_w.values():
+        blocks = {full[q] for q in group}
+        if len(blocks) > 1:
+            return False
+    return True
+
+
+def reference_verify_weak_cover_rna(a: Rna, p: N.OrbitSuite, delta_p) -> bool:
+    """Check that delta_p closes p under one-letter extension.
+
+    For every pattern w in p and extension choice c, the pattern
+    delta_p(w, c) must reach the state reached by w extended with c up
+    to a renaming of atoms, that is, the same location: registers hold
+    pairwise distinct atoms, so the states at one location form one orbit.
+    """
+    if not p.contains_epsilon():
+        raise ValueError("a weak state cover must contain the empty pattern")
+    for w in p:
+        for c in N.extension_choices(w):
+            try:
+                t = delta_p[(w, c)]
+            except KeyError:
+                raise ValueError(
+                    f"delta_p is not total: missing entry for ({w.render()}, "
+                    f"{'fresh' if c is None else c})"
+                ) from None
+            if t not in p:
+                raise ValueError(f"delta_p value {t.render()} is outside the cover")
+            ext = N.extend(w, c)
+            if N.rna_run(a, N.instantiate(ext))[0] != N.rna_run(a, N.instantiate(t))[0]:
+                return False
+    return True
+
+
+def reference_weak_cover_map_rna(a: Rna, p: N.OrbitSuite) -> dict:
+    """A delta_p witnessing that p is a weak state cover, if one exists."""
+    reached: dict = {}
+    for t in p:
+        loc, _ = N.rna_run(a, N.instantiate(t))
+        reached.setdefault(loc, t)
+    table = {}
+    for w in p:
+        for c in N.extension_choices(w):
+            loc, _ = N.rna_run(a, N.instantiate(N.extend(w, c)))
+            if loc not in reached:
+                raise ValueError(
+                    f"location {a.loc_name(loc)} reached by an extension of the cover "
+                    "is not covered"
+                )
+            table[(w, c)] = reached[loc]
+    return table
+
+
+def _reference_instantiations(pat, pool):
+    """All concrete instances of pat whose atoms come from pool or are fresh.
+
+    Fresh atoms are drawn canonically above the pool, so the enumeration
+    is finite and covers one representative per relevant orbit.
+    """
+    k = pat.num_classes
+    fresh_base = max(pool, default=0)
+
+    def assign(cls: int, chosen: dict, used: set):
+        if cls > k:
+            yield tuple(chosen[c] for c in pat.pattern)
+            return
+        options = [x for x in pool if x not in used]
+        options.append(fresh_base + cls)  # distinct fresh atom per class
+        for x in options:
+            chosen[cls] = x
+            used.add(x)
+            yield from assign(cls + 1, chosen, used)
+            used.discard(x)
+            del chosen[cls]
+
+    yield from assign(1, {}, set())
+
+
+def _reference_w_distinguishes(a: Rna, sa, sb, w: N.OrbitSuite) -> bool:
+    pool = []
+    for x in (*sa[1], *sb[1]):
+        if x not in pool:
+            pool.append(x)
+    for pat in w:
+        for word in _reference_instantiations(pat, pool):
+            la, _ = N._run_from(a, sa, word)
+            lb, _ = N._run_from(a, sb, word)
+            if (la in a.accepting) != (lb in a.accepting):
+                return True
+    return False
+
+
+def reference_is_char_set_rna(a: Rna, w: N.OrbitSuite) -> bool:
+    """Does w separate every pair of states that any data word separates?
+
+    A pattern in w separates a pair if some instance of it over the pair's
+    register atoms (plus fresh atoms) is accepted from one state and
+    rejected from the other.
+    """
+    if not w.contains_epsilon():
+        raise ValueError("a characterization set must contain the empty pattern")
+    for sa, sb in N._pair_configs(a):
+        eq, _ = N._pair_bfs(a, a, sa, sb)
+        if not eq and not _reference_w_distinguishes(a, sa, sb, w):
+            return False
+    return True
+
+
+def reference_backward_basis(a: Wa) -> VecSpaceBasis:
+    """Basis of the observation row space span{f^T M(w)}, with the witnesses
+    sorted length-lexicographically after the layer loop."""
+    z = a._ints
+    ech = W._Echelon()
+    found: list = []
+    if ech.add(z.f):
+        found.append((EPSILON, (z.f, z.df)))
+    layer = list(found)
+    while layer:
+        nxt: list = []
+        for s in range(len(a.alphabet)):
+            for w, state in layer:
+                row = z.step_back(state, s)
+                if ech.add(row[0]):
+                    nxt.append((Word((s,)) + w, row))
+        found += nxt
+        layer = nxt
+    found.sort(key=lambda e: (len(e[0].syms), e[0].syms))
+    return W._basis(found)

@@ -1,8 +1,16 @@
+import io
 import random
 
 import pytest
 
-from helpers import chain_dfa, load, random_minimal_fsm, random_minimal_rna, random_minimal_wa
+from helpers import (
+    FIXTURES,
+    chain_dfa,
+    load,
+    random_minimal_fsm,
+    random_minimal_rna,
+    random_minimal_wa,
+)
 from wmethod import (
     MutationSpec,
     NotMinimalError,
@@ -32,6 +40,7 @@ from wmethod import fsm as fsm_module
 from wmethod import nominal as nominal_module
 from wmethod import weighted as weighted_module
 from wmethod import words as words_module
+from wmethod.cli import main
 from wmethod.family import family_of
 from wmethod.faultsim import _mutants, redirect_transition, set_output
 from wmethod.formats import parse_machine
@@ -279,3 +288,21 @@ def test_experiment_plans_its_suite_on_the_suite_lines(monkeypatch):
     assert report.results == tuple_walk.results
     assert report.render() == tuple_walk.render()
     assert any(r.killed_by is not None for r in report.results)
+
+
+def _faultsim_report(name: str, extra: int) -> str:
+    out = io.StringIO()
+    argv = ["--seed", "3", "faultsim", "--k", "1", "--mutants", "30", "--extra-states", str(extra)]
+    assert main([*argv, str(FIXTURES / name)], out=out) == 0
+    return out.getvalue()
+
+
+def test_extra_states_per_family():
+    # fsm mutants grow by 1..N states; a wa mutant appends one state for any
+    # N >= 1; rna mutants never grow, so N changes nothing
+    assert _faultsim_report("same_twice.rna", 0) == _faultsim_report("same_twice.rna", 4)
+    assert _faultsim_report("binary_value.wa", 1) == _faultsim_report("binary_value.wa", 4)
+    assert _faultsim_report("binary_value.wa", 0) != _faultsim_report("binary_value.wa", 1)
+    coffee = load("coffee.aut")
+    sizes = {m.n_states for m in gen_mutants_fsm(coffee, MutationSpec(4, 200, 3))}
+    assert sizes == set(range(coffee.n_states, coffee.n_states + 5))
