@@ -17,7 +17,7 @@ from fractions import Fraction
 from .fsm import Fsm
 from .nominal import OrbitSuite, Rna, SymbolicWord, X_SOURCE, check_rule
 from .weighted import Wa
-from .words import EPS_TOKEN, Alphabet, Suite, Word, prefix_walk
+from .words import EPS_TOKEN, Alphabet, Suite, Word, canonical, prefix_walk
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -429,6 +429,8 @@ def serialize_suite(t: Suite) -> str:
 
 def _read_suite(text: str, filename: str, lookup, make, checks) -> tuple:
     """(items, lines, plan) of a suite file with one item per line, read by prefix.
+    The items are distinct and in canonical order; lines and plan are None
+    unless the file was canonical.
 
     Each normalized line (tokens joined by single spaces) is anchored at
     its longest proper prefix among the lines (`prefix_walk` over the
@@ -438,7 +440,8 @@ def _read_suite(text: str, filename: str, lookup, make, checks) -> tuple:
     right after it and the anchors are exactly the longest prefix items:
     the walk also gives the execution plan. If a lookup or an item fails,
     each line check in turn runs over the file in order, and the first
-    line one rejects is reported.
+    line one rejects is reported. One scan of the symbols (`canonical`)
+    decides whether the file was canonical.
     """
     nos, lines = [], []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -467,14 +470,19 @@ def _read_suite(text: str, filename: str, lookup, make, checks) -> tuple:
                 except ValueError as e:
                     raise ParseError(filename, no, str(e)) from e
         raise
+    canon = canonical(items, syms)
+    if canon is not items:
+        return canon, None, None
     return items, tuple(lines), tuple(plan)
 
 
 def parse_suite(text: str, alphabet: Alphabet, filename: str = "<string>") -> Suite:
     """A word suite file: one word per line, its symbols named by the
-    alphabet. A file in canonical order keeps its lines and plan."""
+    alphabet. A file in canonical order keeps its lines and plan. Every
+    symbol is an alphabet index, so the suite is made unchecked."""
     check = [lambda toks: alphabet.word(*toks)]
-    return Suite(alphabet, *_read_suite(text, filename, alphabet._index.__getitem__, Word, check))
+    read = _read_suite(text, filename, alphabet._index.__getitem__, Word._of, check)
+    return Suite._made(alphabet, *read)
 
 
 def _class(tok: str) -> int:
@@ -496,6 +504,8 @@ def _pattern(toks: list[str]) -> SymbolicWord:
 def parse_patterns(text: str, filename: str = "<string>") -> OrbitSuite:
     """A pattern suite file: one orbit pattern per line, as class numbers.
     Classes that are not integers or not canonical are reported before
-    one that is not a plain numeral. A canonical file keeps its lines and plan."""
+    one that is not a plain numeral. A canonical file keeps its lines and
+    plan. Every pattern is checked by SymbolicWord, so the suite is made
+    unchecked."""
     checks = [_pattern, lambda toks: list(map(_class, toks))]
-    return OrbitSuite(*_read_suite(text, filename, _class, SymbolicWord, checks))
+    return OrbitSuite._made(None, *_read_suite(text, filename, _class, SymbolicWord, checks))

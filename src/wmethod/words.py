@@ -276,10 +276,14 @@ def unseen(key: Callable[[State], Hashable] = lambda state: state) -> Callable[[
 class Suite:
     """A deduplicated set of words over one alphabet, in canonical order.
 
-    The constructor canonicalizes: duplicates are dropped and the words
-    are sorted length-lexicographically. Storing the image of whatever
-    produced the words is deliberate; agreement of two machines on a
-    suite only depends on this image.
+    The constructor checks that every symbol is in range of the alphabet
+    and canonicalizes: duplicates are dropped and the words are sorted
+    length-lexicographically. Storing the image of whatever produced the
+    words is deliberate; agreement of two machines on a suite only
+    depends on this image. Suites whose construction already guarantees
+    both (a suite file read through the alphabet's name table, the
+    products and prefix closures of suites over one alphabet) are made
+    by `_made`, which checks nothing.
     """
 
     alphabet: Alphabet
@@ -302,6 +306,18 @@ class Suite:
         if canon is not words:
             object.__setattr__(self, "texts", None)
             object.__setattr__(self, "planned", None)
+
+    @classmethod
+    def _made(cls, alphabet: Alphabet | None, words: tuple, texts=None, planned=None) -> "Suite":
+        """A suite of the given fields, taken without checking. The caller
+        guarantees that every symbol is in range of the alphabet and that
+        the words are distinct and in canonical order."""
+        t = cls.__new__(cls)
+        object.__setattr__(t, "alphabet", alphabet)
+        object.__setattr__(t, "words", words)
+        object.__setattr__(t, "texts", texts)
+        object.__setattr__(t, "planned", planned)
+        return t
 
     def _check(self, seqs: list[tuple]) -> None:
         valid = range(len(self.alphabet))
@@ -406,10 +422,12 @@ def words_upto(alphabet: Alphabet, k: int) -> Suite:
 
 def _lined(alphabet: Alphabet, words: dict[str, tuple]) -> Suite:
     """The words that `words` maps their lines to, in canonical order, with
-    their lines: sorted on the symbols, then stably on length."""
+    their lines: sorted on the symbols, then stably on length. The symbols
+    come from suites over `alphabet`, and a line names exactly one word, so
+    the distinct lines make distinct words and the suite is made unchecked."""
     lines = sorted(words, key=words.__getitem__)
     lines.sort(key=dict(zip(words, map(len, words.values()))).__getitem__)
-    return Suite(alphabet, tuple(map(Word._of, map(words.__getitem__, lines))), tuple(lines))
+    return Suite._made(alphabet, tuple(map(Word._of, map(words.__getitem__, lines))), tuple(lines))
 
 
 def concat_suites(a: Suite, b: Suite) -> Suite:
@@ -418,6 +436,8 @@ def concat_suites(a: Suite, b: Suite) -> Suite:
     products are deduplicated on their lines: a line names one word."""
     if a.alphabet != b.alphabet:
         raise ValueError("cannot concatenate suites over different alphabets")
+    if a.alphabet is None:
+        raise ValueError("word suites only: orbit suites concatenate with concat_orbit")
     tails = list(zip(b.lines(), map(attrgetter("syms"), b)))
     out: dict[str, tuple] = {}
     for u, line in zip(a, a.lines()):
@@ -454,6 +474,8 @@ def prefix_close(t: Suite) -> Suite:
     added from the longest down, up to the first one already in it. Tokens
     hold no space, so a prefix's line is its word's cut at a space.
     """
+    if t.alphabet is None:
+        raise ValueError("word suites only: orbit suites are not prefix-closed")
     out = {EPS_TOKEN: ()} if t.words else {}
     for w, line in zip(t, t.lines()):
         syms = w.syms

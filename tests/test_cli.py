@@ -12,6 +12,7 @@ from wmethod.formats import parse_machine, parse_suite, serialize_suite
 from wmethod import (
     Alphabet,
     MutationSpec,
+    Suite,
     Word,
     char_set,
     completeness_experiment,
@@ -580,3 +581,28 @@ def test_gen_renders_only_the_factor_words(tmp_path, monkeypatch, extra):
     assert "|P| = 12\n|W| = 11\n" in out
     # |P| + |Sigma^{<=2}| + |W|: every suite line is joined from these
     assert renders <= 12 + 7 + 11
+
+
+# ------------------------------- each suite's symbols are checked where they enter
+
+
+def test_gen_checks_only_the_factor_symbols_and_run_none(tmp_path, monkeypatch):
+    spec = tmp_path / "chain12.aut"
+    spec.write_text(chain_dfa(12))
+    suite = tmp_path / "s.txt"
+    scanned = 0
+    check = Suite._check
+
+    def counting(self, seqs):
+        nonlocal scanned
+        scanned += sum(map(len, seqs))
+        return check(self, seqs)
+
+    monkeypatch.setattr(Suite, "_check", counting)
+    assert run_cli("gen", "--k", "1", "-o", str(suite), str(spec))[0] == 0
+    # P (66 symbols), W (55) and Sigma^{<=2} (10); products and the read
+    # suite are made unchecked
+    assert scanned == 131
+    scanned = 0
+    assert run_cli("run", str(spec), str(spec), str(suite))[0] == 0
+    assert scanned == 0

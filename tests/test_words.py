@@ -8,15 +8,18 @@ from helpers import reference_concat_suites, reference_prefix_close
 from wmethod import (
     EPSILON,
     Alphabet,
+    OrbitSuite,
     Suite,
+    SymbolicWord,
     Verdict,
     Word,
     concat_suites,
+    patterns_upto,
     prefix_close,
     w_suite,
     words_upto,
 )
-from wmethod.formats import ParseError, parse_suite, serialize_suite
+from wmethod.formats import ParseError, parse_patterns, parse_suite, serialize_suite
 from wmethod.words import prefix_plan
 
 AB2 = Alphabet(("a", "b"))
@@ -313,3 +316,81 @@ def test_product_words_are_the_constructors_words(ab):
         assert t.words == Suite(ab, t.words).words
         assert t.words == Suite(ab, t.words[::-1]).words
         assert all(type(x.syms) is tuple for x in t)
+
+
+def test_word_suite_assembly_rejects_orbit_suites():
+    orbits = patterns_upto(1)
+    with pytest.raises(ValueError, match="word suites only"):
+        concat_suites(orbits, orbits)
+    with pytest.raises(ValueError, match="word suites only"):
+        prefix_close(orbits)
+
+
+# Suites read from a file, and the products and prefix closures of suites,
+# are made without the constructor's checks (`Suite._made`). Each must be
+# the checking constructor's suite of the same items.
+
+
+@st.composite
+def suite_files(draw, lines):
+    """(text, lines in file order) of a file holding the canonical `lines`:
+    as they are, or shuffled, with duplicate lines, oddly spaced and with
+    comments and blank lines."""
+    if lines and draw(st.booleans()):
+        lines = lines + draw(st.lists(st.sampled_from(lines), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    odd = draw(st.booleans())
+    gaps = st.sampled_from([" ", "  ", "\t", " \t "] if odd else [" "])
+    pads = st.sampled_from(["", " ", "\t"] if odd else [""])
+    notes = st.sampled_from([[], ["# a 1"], [""], ["#"]] if draw(st.booleans()) else [[]])
+    out = []
+    for line in lines:
+        out += draw(notes)
+        out.append(draw(pads) + line.replace(" ", draw(gaps)) + draw(pads))
+    return "".join(line + "\n" for line in out), list(lines)
+
+
+def _is_checked(got: Suite, ref: Suite) -> None:
+    assert got.words == ref.words
+    assert list(got.lines()) == list(ref.lines())
+    assert got.plan == prefix_plan(list(map(ref._seq, ref.words)))
+
+
+def _read_as_checked(got: Suite, ref: Suite, items: tuple, lines: list) -> None:
+    """got, read from a file of `items` on `lines`, against ref, the
+    checking constructor's suite of them: it keeps its lines exactly when
+    the file was canonical."""
+    _is_checked(got, ref)
+    if ref.words == items:
+        assert got.texts == tuple(lines)
+    else:
+        assert got.texts is None and got.planned is None
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_unchecked_suites_are_the_checking_constructors(data):
+    names = data.draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
+    ab = Alphabet(tuple(names))
+    letters = st.lists(st.integers(0, len(ab) - 1), max_size=3).map(tuple)
+    read = []
+    for _ in range(2):
+        words = data.draw(st.lists(letters, max_size=5)) + data.draw(st.sampled_from([[], [()]]))
+        text, lines = data.draw(suite_files(list(Suite.of(ab, words).lines())))
+        items = tuple(EPSILON if line == "-eps-" else ab.word(*line.split()) for line in lines)
+        got = parse_suite(text, ab)
+        _read_as_checked(got, Suite(ab, items), items, lines)
+        read.append(got)
+    a, b = read
+    _is_checked(concat_suites(a, b), Suite(ab, tuple(u + v for u in a for v in b)))
+    _is_checked(concat_suites(b, a), Suite(ab, tuple(v + u for v in b for u in a)))
+    prefixes = tuple(Word(w.syms[:n]) for w in a for n in range(len(w) + 1))
+    _is_checked(prefix_close(a), Suite(ab, prefixes))
+
+    pats = data.draw(st.lists(st.sampled_from(patterns_upto(3).patterns), max_size=6))
+    text, lines = data.draw(suite_files(list(OrbitSuite(pats).lines())))
+    items = tuple(
+        SymbolicWord(() if line == "-eps-" else tuple(map(int, line.split()))) for line in lines
+    )
+    _read_as_checked(parse_patterns(text), OrbitSuite(items), items, lines)
