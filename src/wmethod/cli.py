@@ -105,12 +105,12 @@ def cmd_gen(args, out) -> int:
 def cmd_run(args, out) -> int:
     spec, impl, fam = _load_pair(args.spec, args.impl)
     suite = fam.read_suite(_read(args.suite), spec, args.suite)
-    verdicts = fam.agree(spec, impl, suite)
-    passed = [v.spec_out == v.impl_out for v in verdicts]
+    spec_out, impl_out = map(list, fam.agree_values(spec, impl, suite))
+    passed = [s == i for s, i in zip(spec_out, impl_out)]
     text = _Rendered()
     out.write("".join(
-        f"{'PASS' if ok else 'FAIL'} {word} {text[v.spec_out]} {text[v.impl_out]}\n"
-        for word, v, ok in zip(suite.lines(), verdicts, passed)
+        f"{'PASS' if ok else 'FAIL'} {word} {text[s]} {text[i]}\n"
+        for word, s, i, ok in zip(suite.lines(), spec_out, impl_out, passed)
     ))
     return EXIT_OK if all(passed) else EXIT_FAIL
 

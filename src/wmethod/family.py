@@ -84,8 +84,8 @@ class _FsmFamily(_WordFamily):
     def values(self, m: F.Fsm, t: Suite) -> Iterator:
         return F.suite_values(m, t)
 
-    def agree(self, spec: F.Fsm, impl: F.Fsm, t: Suite):
-        return F.agree_on(spec, impl, t)
+    def agree_values(self, spec: F.Fsm, impl: F.Fsm, t: Suite):
+        return F.agree_values(spec, impl, t)
 
     def equiv(self, a: F.Fsm, b: F.Fsm):
         return F.equiv(a, b)
@@ -129,8 +129,8 @@ class _WaFamily(_WordFamily):
     def values(self, m: W.Wa, t: Suite) -> Iterator:
         return W.suite_values_wa(m, t)
 
-    def agree(self, spec: W.Wa, impl: W.Wa, t: Suite):
-        return W.agree_on_wa(spec, impl, t)
+    def agree_values(self, spec: W.Wa, impl: W.Wa, t: Suite):
+        return W.agree_values_wa(spec, impl, t)
 
     def equiv(self, a: W.Wa, b: W.Wa):
         return W.equiv_wa(a, b)
@@ -179,8 +179,8 @@ class _RnaFamily:
     def values(self, m: N.Rna, t: N.OrbitSuite) -> Iterator:
         return N.suite_values_rna(m, t)
 
-    def agree(self, spec: N.Rna, impl: N.Rna, t: N.OrbitSuite):
-        return N.agree_on_rna(spec, impl, t)
+    def agree_values(self, spec: N.Rna, impl: N.Rna, t: N.OrbitSuite):
+        return self.values(spec, t), self.values(impl, t)  # nothing to check
 
     def equiv(self, a: N.Rna, b: N.Rna):
         return N.equiv_rna(a, b)

@@ -9,7 +9,7 @@ completeness; the experiment fails in that case.
 The specification's values are computed once. A mutant's values are
 computed lazily, so each mutant runs the suite only up to its first
 differing word, the one the report names; a survivor runs every word.
-`run` (the agree path) still executes every word.
+`run` (the agree_values path) still executes every word.
 
 Reports are plain text, ordered by mutant index, and byte-identical for
 identical mutation specs (the PRNG seed is part of the report header).

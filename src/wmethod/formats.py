@@ -17,7 +17,7 @@ from fractions import Fraction
 from .fsm import Fsm
 from .nominal import OrbitSuite, Rna, SymbolicWord, X_SOURCE, check_rule
 from .weighted import Wa
-from .words import EPS_TOKEN, Alphabet, Suite, Word, canonical, prefix_walk
+from .words import EPS_TOKEN, Alphabet, Suite, canonical, prefix_walk
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -427,53 +427,56 @@ def serialize_suite(t: Suite) -> str:
     return "".join(line + "\n" for line in t.lines())
 
 
-def _read_suite(text: str, filename: str, lookup, make, checks) -> tuple:
-    """(items, lines, plan) of a suite file with one item per line, read by prefix.
-    The items are distinct and in canonical order; lines and plan are None
-    unless the file was canonical.
+def _read_suite(cls, alphabet, text: str, filename: str, lookup, grow, checks) -> Suite:
+    """The `cls` suite over `alphabet` of a file with one item per line, read by prefix.
 
-    Each normalized line (tokens joined by single spaces) is anchored at
-    its longest proper prefix among the lines (`prefix_walk` over the
-    sorted texts), and only the tokens after the anchor's text go through
-    `lookup`; `make` builds each item from its symbols. Tokens are
-    printable and hold no space, so a line's token-level extensions sort
-    right after it and the anchors are exactly the longest prefix items:
-    the walk also gives the execution plan. If a lookup or an item fails,
-    each line check in turn runs over the file in order, and the first
-    line one rejects is reported. One scan of the symbols (`canonical`)
-    decides whether the file was canonical.
+    Each line is anchored at its longest proper prefix among the lines
+    (`prefix_walk` over the sorted texts; tokens are printable and hold no
+    space, so the anchors are exactly the longest prefix items). The text
+    after the anchor's is normalized (tokens joined by single spaces), or
+    the file is read again with every line normalized. Its tokens go
+    through `lookup` and make the line's tail in the plan; `grow`, if
+    given, checks it against the anchor's largest symbol. If a lookup or
+    a tail fails, each line check in turn runs over the file in order, and
+    the first line one rejects is reported. A line's code is its anchor's
+    and chr of each tail symbol (below 0x110000), so codes compare as the
+    symbols do. If the (length, code) keys strictly increase, the suite is
+    the lines and plan, its items formed on demand; otherwise every item
+    is formed, deduplicated and sorted.
     """
-    nos, lines = [], []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        # every whitespace character other than " " is not printable
-        if not raw.isprintable() or "  " in raw or raw[:1] == " " or raw[-1:] == " ":
-            raw = " ".join(raw.split())
-        if raw and raw[0] != "#":
-            nos.append(no)
-            lines.append(raw)
+    lines = [line for line in text.splitlines() if line[:1] not in ("", "#")]
     keys = ["" if line == EPS_TOKEN else line for line in lines]
     anchors, order = prefix_walk(keys, " ")
-    syms: list = [()] * len(keys)
     plan: list = [None] * len(keys)
+    codes, tops = [""] * (len(keys) + 1), [0] * (len(keys) + 1)  # the root's at index -1
     try:
         for i in order:
             a = anchors[i]
-            base, cut = (syms[a], len(keys[a]) + 1) if a >= 0 else ((), 0)
-            syms[i] = w = base + tuple(map(lookup, keys[i][cut:].split()))
-            plan[i] = (a, w, len(base))
-        items = tuple(map(make, syms))
+            rest = keys[i][len(keys[a]) + 1 if a >= 0 else 0 :]
+            toks = rest.split()
+            if " ".join(toks) != rest:  # read the file again with every line normalized
+                text = "\n".join(" ".join(line.split()) for line in text.splitlines())
+                return _read_suite(cls, alphabet, text, filename, lookup, grow, checks)
+            tail = tuple(map(lookup, toks))
+            if grow:
+                tops[i] = grow(tops[a], tail)
+            plan[i] = (a, tail)
+            codes[i] = codes[a] + "".join(map(chr, tail))
     except (KeyError, ValueError):
         for check in checks:
-            for no, key in zip(nos, keys):
+            for no, line in enumerate(text.splitlines(), start=1):
+                toks = line.split()
                 try:
-                    check(key.split())
+                    if toks and toks[0][0] != "#" and toks != [EPS_TOKEN]:
+                        check(toks)
                 except ValueError as e:
                     raise ParseError(filename, no, str(e)) from e
         raise
-    canon = canonical(items, syms)
-    if canon is not items:
-        return canon, None, None
-    return items, tuple(lines), tuple(plan)
+    codes.pop()
+    kept = canonical(codes, codes)  # the distinct codes, sorted, if not already
+    if kept is codes:
+        return cls._made(alphabet, None, tuple(lines), tuple(plan))
+    return cls._made(alphabet, tuple(cls._word._of(tuple(map(ord, code))) for code in kept))
 
 
 def parse_suite(text: str, alphabet: Alphabet, filename: str = "<string>") -> Suite:
@@ -481,8 +484,7 @@ def parse_suite(text: str, alphabet: Alphabet, filename: str = "<string>") -> Su
     alphabet. A file in canonical order keeps its lines and plan. Every
     symbol is an alphabet index, so the suite is made unchecked."""
     check = [lambda toks: alphabet.word(*toks)]
-    read = _read_suite(text, filename, alphabet._index.__getitem__, Word._of, check)
-    return Suite._made(alphabet, *read)
+    return _read_suite(Suite, alphabet, text, filename, alphabet._index.__getitem__, None, check)
 
 
 def _class(tok: str) -> int:
@@ -501,11 +503,20 @@ def _pattern(toks: list[str]) -> SymbolicWord:
     return SymbolicWord(classes)
 
 
+def _grow(top: int, tail: tuple) -> int:
+    """The largest class after `tail`, top before it; each class is an earlier one or the next."""
+    for c in tail:
+        if not 0 < c <= top + 1:
+            raise ValueError("pattern is not canonical")
+        top = max(top, c)
+    return top
+
+
 def parse_patterns(text: str, filename: str = "<string>") -> OrbitSuite:
     """A pattern suite file: one orbit pattern per line, as class numbers.
     Classes that are not integers or not canonical are reported before
     one that is not a plain numeral. A canonical file keeps its lines and
-    plan. Every pattern is checked by SymbolicWord, so the suite is made
-    unchecked."""
+    plan. Every tail is checked to extend its anchor's pattern canonically
+    (`_grow`), so the suite is made unchecked."""
     checks = [_pattern, lambda toks: list(map(_class, toks))]
-    return OrbitSuite._made(None, *_read_suite(text, filename, _class, SymbolicWord, checks))
+    return _read_suite(OrbitSuite, None, text, filename, _class, _grow, checks)

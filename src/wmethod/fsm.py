@@ -260,12 +260,17 @@ def suite_values(m: Fsm, t: Suite) -> Iterator:
     return map(m.signature, execute(t.plan, m.initial, lambda q, a: delta[q][a]))
 
 
-def agree_on(spec: Fsm, impl: Fsm, t: Suite) -> list[Verdict]:
-    """One verdict per suite word, in suite order."""
+def agree_values(spec: Fsm, impl: Fsm, t: Suite) -> tuple[Iterator, Iterator]:
+    """The values of spec and of impl on every suite word, lazily, once checked to fit."""
     _check_compatible(spec, impl)
     if t.alphabet != spec.alphabet:
         raise ValueError("suite alphabet differs from the machines' alphabet")
-    return list(map(Verdict, t, suite_values(spec, t), suite_values(impl, t)))
+    return suite_values(spec, t), suite_values(impl, t)
+
+
+def agree_on(spec: Fsm, impl: Fsm, t: Suite) -> list[Verdict]:
+    """One verdict per suite word, in suite order."""
+    return list(map(Verdict, t, *agree_values(spec, impl, t)))
 
 
 def equiv(a: Fsm, b: Fsm) -> EquivResult:

@@ -73,7 +73,7 @@ class SymbolicWord:
         return cls(tuple(pat))
 
     @classmethod
-    def _trusted(cls, pattern: tuple[int, ...]) -> "SymbolicWord":
+    def _of(cls, pattern: tuple[int, ...]) -> "SymbolicWord":
         """A pattern canonical by construction, taken without checking."""
         s = cls.__new__(cls)
         object.__setattr__(s, "pattern", pattern)
@@ -102,6 +102,7 @@ class OrbitSuite(Suite):
     alphabet (`alphabet` is None)."""
 
     _seq = attrgetter("pattern")
+    _word = SymbolicWord
 
     def __init__(self, patterns=(), texts=None, planned=None):
         super().__init__(None, patterns, texts, planned)
@@ -274,14 +275,14 @@ def concat_orbit(a: OrbitSuite, b: OrbitSuite) -> OrbitSuite:
         if m not in tails:
             tails[m] = [t for v in b for t in _merged_tails(m, v)]
         out.update(map(u.pattern.__add__, tails[m]))
-    return OrbitSuite(tuple(map(SymbolicWord._trusted, out)))
+    return OrbitSuite(tuple(map(SymbolicWord._of, out)))
 
 
 def patterns_upto(k: int) -> OrbitSuite:
     """All orbit patterns of length at most k: a pattern with m classes
     extends by each class 1..m and by the fresh class m+1."""
     pats = sequences_upto(k, lambda p: range(1, max(p, default=0) + 2))
-    return OrbitSuite(tuple(map(SymbolicWord._trusted, pats)))
+    return OrbitSuite(tuple(map(SymbolicWord._of, pats)))
 
 
 FRESH = None  # extension choice: a letter distinct from all classes of the pattern

@@ -367,13 +367,18 @@ def suite_values_wa(a: Wa, t: Suite) -> Iterator[Fraction]:
     return map(z.value, execute(t.plan, (z.s0, z.d0), z.step))
 
 
-def agree_on_wa(spec: Wa, impl: Wa, t: Suite) -> list[Verdict]:
-    """One exact-value verdict per suite word."""
+def agree_values_wa(spec: Wa, impl: Wa, t: Suite) -> tuple[Iterator, Iterator]:
+    """The exact values of spec and impl on every suite word, lazily, once checked to fit."""
     if spec.alphabet != impl.alphabet:
         raise ValueError("machine alphabets differ")
     if t.alphabet != spec.alphabet:
         raise ValueError("suite alphabet differs from the machines' alphabet")
-    return list(map(Verdict, t, suite_values_wa(spec, t), suite_values_wa(impl, t)))
+    return suite_values_wa(spec, t), suite_values_wa(impl, t)
+
+
+def agree_on_wa(spec: Wa, impl: Wa, t: Suite) -> list[Verdict]:
+    """One exact-value verdict per suite word."""
+    return list(map(Verdict, t, *agree_values_wa(spec, impl, t)))
 
 
 def in_fault_domain_wa(impl: Wa, p: Suite, k: int) -> bool:

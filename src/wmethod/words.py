@@ -123,9 +123,9 @@ def canonical(items: tuple, seqs: Sequence[tuple]) -> tuple:
     return tuple(map(by_seq.__getitem__, order))
 
 
-# One entry per word: (index of the longest earlier word that is a proper
-# prefix of it, or -1 for the root; the word's symbols; that prefix's length).
-Plan = tuple[tuple[int, tuple, int], ...]
+# One entry per word: (anchor, the index of the longest earlier word that is a
+# proper prefix of it, or -1 for the root; tail, its symbols after the anchor's).
+Plan = tuple[tuple[int, tuple], ...]
 State = TypeVar("State")
 
 
@@ -171,24 +171,24 @@ def prefix_plan(words: Sequence[tuple]) -> Plan:
 
 
 def _anchored(words: Sequence[tuple], anchors: list[int]) -> Plan:
-    """The plan that starts each word from its anchor, built in the `anchors` list."""
+    """The plan of each word's tail after its anchor, built in the `anchors` list."""
     for i, a in enumerate(anchors):
-        anchors[i] = (a, words[i], len(words[a]) if a >= 0 else 0)
+        anchors[i] = (a, words[i][len(words[a]) :] if a >= 0 else words[i])
     return tuple(anchors)
 
 
 def execute(plan: Plan, init: State, step: Callable[[State, object], State]) -> Iterator[State]:
     """Yield the state reached by every planned word, in plan order.
 
-    Each word starts from the state of its planned prefix, so a symbol
+    Each word steps its tail from the state of its anchor, so a symbol
     shared with an earlier suite word is stepped only once. Every anchor
     comes before its word in the plan, so the states are computed lazily:
     a caller that stops at some word steps none of the later ones.
     """
     states: list[State] = []
-    for parent, syms, start in plan:
-        s = init if parent < 0 else states[parent]
-        for a in syms[start:]:
+    for anchor, tail in plan:
+        s = init if anchor < 0 else states[anchor]
+        for a in tail:
             s = step(s, a)
         states.append(s)
         yield s
@@ -284,10 +284,15 @@ class Suite:
     both (a suite file read through the alphabet's name table, the
     products and prefix closures of suites over one alphabet) are made
     by `_made`, which checks nothing.
+
+    The reader makes a canonical file's suite of its lines and plan; its
+    words, words[anchor] + tail, are formed when first asked for (iteration,
+    membership, equality, hash, repr), and never by len(), contains_epsilon() or execution.
     """
 
     alphabet: Alphabet
-    words: tuple[Word, ...] = field(default=())
+    # a default factory sets no class attribute: missing words reach __getattr__
+    words: tuple[Word, ...] = field(default_factory=tuple)
     # Optional: the suite-file line of each word, as read, or as joined from
     # its factors' lines, and the words' execution plan, as the reader found
     # it. Kept only when the words came in canonical order, so that lines()
@@ -296,6 +301,7 @@ class Suite:
     planned: Plan | None = field(default=None, compare=False, repr=False)
 
     _seq = attrgetter("syms")
+    _word = Word  # the item type: _word._of(symbols) is an item, made unchecked
 
     def __post_init__(self):
         words = tuple(self.words)
@@ -308,16 +314,26 @@ class Suite:
             object.__setattr__(self, "planned", None)
 
     @classmethod
-    def _made(cls, alphabet: Alphabet | None, words: tuple, texts=None, planned=None) -> "Suite":
+    def _made(cls, alphabet: Alphabet | None, words: tuple | None, texts=None, planned=None):
         """A suite of the given fields, taken without checking. The caller
         guarantees that every symbol is in range of the alphabet and that
-        the words are distinct and in canonical order."""
+        the words are distinct and in canonical order, or None, to be formed on demand."""
         t = cls.__new__(cls)
         object.__setattr__(t, "alphabet", alphabet)
-        object.__setattr__(t, "words", words)
+        if words is not None:
+            object.__setattr__(t, "words", words)
         object.__setattr__(t, "texts", texts)
         object.__setattr__(t, "planned", planned)
         return t
+
+    def __getattr__(self, name: str):  # only for attributes not set
+        if name != "words":
+            raise AttributeError(name)
+        seqs: list[tuple] = []
+        for anchor, tail in self.planned:
+            seqs.append(seqs[anchor] + tail if anchor >= 0 else tail)
+        object.__setattr__(self, "words", tuple(map(self._word._of, seqs)))
+        return self.words
 
     def _check(self, seqs: list[tuple]) -> None:
         valid = range(len(self.alphabet))
@@ -337,7 +353,7 @@ class Suite:
         return cls(alphabet, tuple(alphabet.word(*names) for names in entries))
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.texts if self.texts is not None else self.words)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
@@ -350,7 +366,9 @@ class Suite:
         return w in self._member_set
 
     def contains_epsilon(self) -> bool:
-        # the empty word sorts first
+        # the empty word sorts first, and its line is EPS_TOKEN
+        if self.texts is not None:
+            return self.texts[:1] == (EPS_TOKEN,)
         return bool(self.words) and len(self.words[0]) == 0
 
     @cached_property

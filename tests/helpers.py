@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -304,6 +305,11 @@ def reference_parse_suite(text: str, alphabet: Alphabet, filename: str = "<strin
             raise ParseError(filename, no, str(e)) from e
         lines.append(" ".join(toks))
     return Suite(alphabet, tuple(words), tuple(lines))
+
+
+def plain_numeral(tok: str) -> bool:
+    """Is tok the empty pattern's token or a class written as it renders?"""
+    return tok == "-eps-" or re.fullmatch("0|[1-9][0-9]*", tok) is not None
 
 
 def reference_parse_patterns(text: str, filename: str = "<string>") -> N.OrbitSuite:

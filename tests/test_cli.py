@@ -606,3 +606,69 @@ def test_gen_checks_only_the_factor_symbols_and_run_none(tmp_path, monkeypatch):
     scanned = 0
     assert run_cli("run", str(spec), str(spec), str(suite))[0] == 0
     assert scanned == 0
+
+
+# ------------------------------------------- run forms no word of a canonical file
+
+
+def test_run_forms_no_word_of_a_canonical_suite_file(tmp_path, monkeypatch):
+    spec, impl = tmp_path / "chain12.aut", tmp_path / "chain13.aut"
+    spec.write_text(chain_dfa(12))
+    impl.write_text(chain_dfa(13))
+    suite = tmp_path / "s.txt"
+    assert run_cli("gen", "--k", "1", "-o", str(suite), str(spec))[0] == 0
+    formed = 0
+    of = Word._of.__func__
+
+    def counting(cls, syms):
+        nonlocal formed
+        formed += 1
+        return of(cls, syms)
+
+    monkeypatch.setattr(Word, "_of", classmethod(counting))
+    expected = run_cli("run", str(spec), str(impl), str(suite))
+    assert expected[0] == 1 and "PASS" in expected[1] and "FAIL" in expected[1]
+    assert formed == 0  # the suite is run on its lines and tail plan
+    # a reversed copy with every line twice goes through the sorting path,
+    # which forms each distinct word once, and prints the same
+    lines = suite.read_text().splitlines()
+    variant = tmp_path / "reversed.suite"
+    variant.write_text("".join(f"{line}\n{line}\n" for line in reversed(lines)))
+    assert run_cli("run", str(spec), str(impl), str(variant)) == expected
+    assert formed == len(lines)
+
+
+# ------------------------- run checks the suite file, then that the machines fit
+
+
+MEALY = str(FIXTURES / "coffee_mealy.aut")
+OTHER_WA = "kind wa\nalphabet x\ndim 1\ninit 0 1\nfinal 0 1\ntrans 0 x 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "spec, impl, bad, error",
+    [
+        (COFFEE, MEALY, "c zz\n", "machine kinds differ: dfa vs mealy"),
+        (WA, None, "a zz\n", "machine alphabets differ"),
+        (RNA, str(FIXTURES / "same_twice_boundary.rna"), "1 3\n", None),
+    ],
+)
+def test_run_reports_the_suite_file_before_a_machine_mismatch(
+    tmp_path, capsys, spec, impl, bad, error
+):
+    if impl is None:
+        impl = tmp_path / "other.wa"
+        impl.write_text(OTHER_WA)
+    good, wrong = tmp_path / "good.suite", tmp_path / "bad.suite"
+    assert run_cli("gen", "--k", "0", "-o", str(good), spec)[0] == 0
+    wrong.write_text(good.read_text() + bad)
+    n = len(good.read_text().splitlines()) + 1
+    capsys.readouterr()
+    assert run_cli("run", spec, str(impl), str(wrong)) == (2, "")
+    assert capsys.readouterr().err.startswith(f"error: {wrong}:{n}: ")
+    code, out = run_cli("run", spec, str(impl), str(good))
+    if error is None:  # register automata have no kind or alphabet to differ
+        assert code in (0, 1) and len(out.splitlines()) == n - 1
+    else:
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {error}\n"

@@ -152,10 +152,13 @@ def test_execute_steps_each_suite_prefix_once(seed, with_eps):
     rng = random.Random(seed)
     t = Suite.of(AB, random_words(rng, 2, with_eps))
     index = {w.syms: i for i, w in enumerate(t)}
-    for parent, syms, start in t.plan:  # the longest proper prefix in the suite
+    for (anchor, tail), w in zip(t.plan, t):  # the longest proper prefix in the suite
+        syms = w.syms
+        start = len(syms) - len(tail)
+        assert syms[start:] == tail
         longest = max((n for n in range(len(syms)) if syms[:n] in index), default=0)
         assert start == longest
-        assert parent == (index[syms[:start]] if start else -1)
+        assert anchor == (index[syms[:start]] if start else -1)
     calls, step = counting_step()
     assert list(execute(t.plan, (), step)) == [w.syms for w in t]
     assert calls[0] <= sum(len(w) for w in t)
@@ -187,7 +190,7 @@ def test_plan_of_words_without_suite_prefixes_is_not_quadratic():
     t0 = time.perf_counter()
     plan = t.plan
     assert time.perf_counter() - t0 < 1.0
-    assert all(parent == -1 and start == 0 for parent, _, start in plan)
+    assert all(anchor == -1 and tail == w.syms for (anchor, tail), w in zip(plan, t))
 
 
 @pytest.mark.parametrize("agree", [agree_on, agree_on_wa])

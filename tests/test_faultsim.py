@@ -140,7 +140,7 @@ def _assert_killed_by_is_first_failing_verdict(spec, k, ms):
     report = completeness_experiment(spec, k, ms)
     assert len(report.results) == len(mutants)
     for r, mut in zip(report.results, mutants):
-        failed = [v.word for v in fam.agree(spec, mut, suite) if not v.passed]
+        failed = [w for w, a, b in zip(suite, *fam.agree_values(spec, mut, suite)) if a != b]
         assert r.killed_by == (fam.render(failed[0], spec) if failed else None)
     return report
 
@@ -168,7 +168,7 @@ def test_killed_by_is_first_failing_verdict_random_specs(make):
 
 def _steps(plan, n: int) -> int:
     """Steps that executing the first n words of a plan takes."""
-    return sum(len(syms) - start for _, syms, start in plan[:n])
+    return sum(len(tail) for _, tail in plan[:n])
 
 
 @pytest.mark.parametrize("name, k", FIXTURE_EXPERIMENTS)

@@ -1,6 +1,5 @@
 import io
 import random
-import re
 import sys
 
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     FIXTURES,
     load,
+    plain_numeral,
     random_fsm,
     random_rna,
     random_wa,
@@ -273,8 +273,8 @@ def test_parse_suite_matches_the_line_by_line_reader(case):
 
 
 def test_only_the_space_is_printable_whitespace():
-    # parse_suite keeps a printable line without double, leading or
-    # trailing spaces as it is, in place of joining its split tokens
+    # symbol names are printable and hold no space, so they hold no
+    # whitespace at all: a suite line's tokens are its whitespace split
     chars = map(chr, range(sys.maxunicode + 1))
     assert [c for c in chars if c.isspace() and c.isprintable()] == [" "]
 
@@ -366,10 +366,6 @@ def pattern_files(draw):
     return "\n".join(out) + draw(st.sampled_from(("", "\n", "\r\n")))
 
 
-def _plain(tok: str) -> bool:
-    return tok == "-eps-" or re.fullmatch("0|[1-9][0-9]*", tok) is not None
-
-
 @given(pattern_files())
 @settings(max_examples=300)
 def test_parse_patterns_matches_the_line_by_line_reader(text):
@@ -385,7 +381,7 @@ def test_parse_patterns_matches_the_line_by_line_reader(text):
         for no, raw in enumerate(text.splitlines(), start=1)
         if raw.split() and not raw.split()[0].startswith("#")
         for tok in raw.split()
-        if not _plain(tok)
+        if not plain_numeral(tok)
     ]
     if odd:
         no, tok = odd[0]

@@ -148,7 +148,7 @@ def test_suite_rejects_out_of_range_symbols():
 
 def test_suite_keeps_texts_only_in_canonical_order():
     words = (EPSILON, Word((0,)), Word((1, 0)))
-    plan = ((-1, (), 0), (-1, (0,), 0), (-1, (1, 0), 0))
+    plan = ((-1, ()), (-1, (0,)), (-1, (1, 0)))
     kept = Suite(AB2, words, ("given eps", "given a", "given b a"), plan)
     assert list(kept.lines()) == ["given eps", "given a", "given b a"]
     assert kept.plan is plan
