@@ -63,22 +63,6 @@ def _load_pair(path_a: str, path_b: str):
     return a, b, fam
 
 
-def _render_out(v) -> str:
-    if isinstance(v, tuple):  # mealy output row
-        return ",".join(str(x) for x in v)
-    return str(v)
-
-
-class _Rendered(dict):
-    """Output value -> its text, each distinct value rendered once. The
-    outputs of one run come from one family's parser, so values that are
-    equal have one type and one rendering."""
-
-    def __missing__(self, v) -> str:
-        text = self[v] = _render_out(v)
-        return text
-
-
 def cmd_gen(args, out) -> int:
     m = _load(args.spec)
     fam = family_of(m)
@@ -107,10 +91,10 @@ def cmd_run(args, out) -> int:
     suite = fam.read_suite(_read(args.suite), spec, args.suite)
     spec_out, impl_out = map(list, fam.agree_values(spec, impl, suite))
     passed = [s == i for s, i in zip(spec_out, impl_out)]
-    text = _Rendered()
+    text = fam.value_text()
     out.write("".join(
-        f"{'PASS' if ok else 'FAIL'} {word} {text[s]} {text[i]}\n"
-        for word, s, i, ok in zip(suite.lines(), spec_out, impl_out, passed)
+        f"{'PASS' if ok else 'FAIL'} {word} {s} {i}\n"
+        for word, s, i, ok in zip(suite.lines(), map(text, spec_out), map(text, impl_out), passed)
     ))
     return EXIT_OK if all(passed) else EXIT_FAIL
 

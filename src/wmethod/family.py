@@ -4,9 +4,10 @@ Each family (FSMs, weighted automata, register automata) offers the
 same operations: the analysis of a specification (its state cover and
 characterization set, whose walks also decide that it is canonical),
 each of the two alone and a check of each, the W suite, suite files,
-execution, the equivalence oracle, minimization and word rendering. `family_of` is the
-one place that maps a machine type to its family; the CLI and the
-completeness experiments go through it instead of branching on types.
+execution, the equivalence oracle, minimization, and the rendering of
+words and of output values. `family_of` is the one place that maps a
+machine type to its family; the CLI and the completeness experiments go
+through it instead of branching on types.
 
 Operations call the family modules through their module attributes at
 call time, so a function patched into a module is the one that runs.
@@ -34,6 +35,17 @@ def _is_weak_cover(cover_map, m, p) -> bool:
     except ValueError:  # an extension reaches a state that no word of p reaches
         return False
     return True
+
+
+class _Rendered(dict):
+    """Output value -> its text, each distinct value rendered once: a mealy
+    output row joined by commas, any other value by str. The outputs of one
+    run come from one family's parser, so values that are equal have one
+    type and one rendering."""
+
+    def __missing__(self, v) -> str:
+        text = self[v] = ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+        return text
 
 
 class _WordFamily:
@@ -65,6 +77,10 @@ class _WordFamily:
     def render(self, word, m) -> str:
         return word.render(m.alphabet)
 
+    def value_text(self):
+        """The function that renders an output value for `run`'s report."""
+        return str
+
 
 class _FsmFamily(_WordFamily):
     name = "fsm"
@@ -92,6 +108,10 @@ class _FsmFamily(_WordFamily):
 
     def minimize(self, m: F.Fsm) -> F.Fsm:
         return F.minimize(m)
+
+    def value_text(self):
+        # few distinct outputs, repeated (mealy rows): render each once per run
+        return _Rendered().__getitem__
 
 
 class _WaFamily(_WordFamily):
@@ -190,6 +210,9 @@ class _RnaFamily:
 
     def render(self, word: N.SymbolicWord, m: N.Rna) -> str:
         return word.render()
+
+    def value_text(self):
+        return str
 
 
 FSM = _FsmFamily()

@@ -5,21 +5,24 @@ blank lines and lines starting with `#` are ignored. The first directive
 must be `kind dfa|moore|mealy|wa|rna`, which selects the family. Errors
 carry the offending line number and are never repaired silently: a bad
 state, location or rule at the line that names it, an item the file
-never gives at its last line. Word and pattern suite files go through
-one prefix reader (`_read_suite`).
+never gives at its last line. Numbers are written in ASCII digits. A
+weighted automaton is read straight into its integer form, each weight
+as a reduced pair of integers, never as a `Fraction`. Word and pattern
+suite files go through one prefix reader (`_read_suite`).
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import gcd
 
 from .fsm import Fsm
 from .nominal import OrbitSuite, Rna, SymbolicWord, X_SOURCE, check_rule
-from .weighted import Wa
+from .weighted import Wa, _int_form
 from .words import EPS_TOKEN, Alphabet, Suite, canonical, prefix_walk
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: int() and Fraction() alone would also take `1_1` and non-ASCII digits
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
 class ParseError(Exception):
@@ -75,19 +78,26 @@ def _once(value, d: str, filename: str, no: int) -> None:
 
 
 def _int(tok: str, filename: str, no: int, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(filename, no, f"{what}: expected an integer, got {tok!r}") from None
+    """An integer in ASCII digits, with an optional sign. (A token holds no
+    space, so an ASCII token without `_` that int() reads is such a numeral.)"""
+    if tok.isascii() and "_" not in tok:
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(filename, no, f"{what}: expected an integer, got {tok!r}")
 
 
-def _rational(tok: str, filename: str, no: int) -> Fraction:
-    if not _RATIONAL.match(tok):
+def _rational(tok: str, filename: str, no: int) -> tuple[int, int]:
+    """A weight p or p/q as the pair (p, q) in lowest terms, q > 0."""
+    if not _RATIONAL.fullmatch(tok):
         raise ParseError(filename, no, f"bad rational {tok!r} (use p or p/q, sign on p only)")
-    try:
-        return Fraction(tok)
-    except ZeroDivisionError:
-        raise ParseError(filename, no, f"bad rational {tok!r}: zero denominator") from None
+    p, _, q = tok.partition("/")
+    p, q = int(p), int(q or 1)
+    if not q:
+        raise ParseError(filename, no, f"bad rational {tok!r}: zero denominator")
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _alphabet(toks: list[str], filename: str, no: int) -> Alphabet:
@@ -215,9 +225,9 @@ def _parse_fsm(kind: str, items, filename: str, last: int) -> Fsm:
 def _parse_wa(items, filename: str, last: int) -> Wa:
     alphabet = None
     dim = None
-    init: dict[int, Fraction] = {}
-    final: dict[int, Fraction] = {}
-    trans: dict[tuple[int, int, int], Fraction] = {}
+    init: dict[int, tuple[int, int]] = {}  # weights as (p, q), from _rational
+    final: dict[int, tuple[int, int]] = {}
+    trans: dict[tuple[int, int, int], tuple[int, int]] = {}
     states: list[tuple[int, str, int]] = []  # (line, what, state) of every state named
     for no, toks in items:
         d = toks[0]
@@ -251,10 +261,10 @@ def _parse_wa(items, filename: str, last: int) -> Wa:
     if alphabet is None or dim is None:
         raise ParseError(filename, last, "missing alphabet or dim directive")
     _in_range(states, dim, "dim", filename)
-    qs = range(dim)
-    # weight of src -> dst is stored at row dst, column src
-    mats = [[[trans.get((s, a, t), 0) for s in qs] for t in qs] for a in range(len(alphabet))]
-    return Wa(alphabet, dim, [init.get(q, 0) for q in qs], mats, [final.get(q, 0) for q in qs])
+    mats: list[dict] = [{} for _ in alphabet.symbols]  # mats[a][dst][src]
+    for (src, a, dst), w in trans.items():
+        mats[a].setdefault(dst, {})[src] = w
+    return Wa._of(alphabet, dim, _int_form(dim, init, mats, final))
 
 
 def _parse_rna(items, filename: str, last: int) -> Rna:

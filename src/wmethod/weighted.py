@@ -8,8 +8,11 @@ M(eps) is the identity and M(wa) = M(a) M(w).
 Everything here is exact. Weights are `fractions.Fraction`; the kernels
 run on an integer form of each machine (every part scaled by the least
 common multiple of its denominators) and build `Fraction`s only for the
-values and vectors they return. Ranks and coordinates come from one
-fraction-free Gaussian elimination, on which minimization runs too.
+values and vectors they return. A machine read from a file is made
+straight from its integer form (`_int_form`, `Wa._of`), and its
+`Fraction` weights are formed only when something asks for them. Ranks
+and coordinates come from one fraction-free Gaussian elimination, on
+which minimization runs too.
 The forward basis and the equivalence oracle are breadth-first walks
 (`words.reach`) that admit a word when its state, or its pair of states,
 is independent of those of all smaller words.
@@ -41,6 +44,7 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 IVec = tuple[int, ...]
 IState = tuple[IVec, int]  # integer vector v and denominator d, standing for v / d
+Entries = dict[int, tuple[int, int]]  # index -> p/q as (p, q), in lowest terms with q > 0
 
 
 def _vec(entries: Iterable) -> Vec:
@@ -60,6 +64,14 @@ def _scaled(entries: Iterable[Fraction]) -> tuple[IVec, int]:
     xs = tuple(entries)
     d = lcm(*(x.denominator for x in xs))
     return tuple(x.numerator * (d // x.denominator) for x in xs), d
+
+
+def _times(entries: Entries, n: int, d: int) -> IVec:
+    """d times the length-n vector holding the entries, and 0 elsewhere."""
+    v = [0] * n
+    for i, (p, q) in entries.items():
+        v[i] = p * (d // q)
+    return tuple(v)
 
 
 class _Echelon:
@@ -104,7 +116,13 @@ class _Echelon:
 
 @dataclass(frozen=True)
 class Wa:
-    """A weighted automaton over the rationals."""
+    """A weighted automaton over the rationals.
+
+    The constructor checks the shapes and takes every weight as a
+    `Fraction`. A machine made by `_of` holds its integer form instead;
+    its s0, mats and f are formed from it when first asked for (equality,
+    hash, repr and serialization ask for them), equal to the constructor's.
+    """
 
     alphabet: Alphabet
     dim: int
@@ -125,6 +143,27 @@ class Wa:
         for m in self.mats:
             if len(m) != self.dim or any(len(row) != self.dim for row in m):
                 raise ValueError("transition matrices must be dim x dim")
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, dim: int, z: "_IntForm") -> "Wa":
+        """The machine of integer form z, taken without checking. The caller
+        guarantees that z has dimension dim, one matrix per symbol, and
+        least common denominators d0, dm and df, as `_ints` makes them."""
+        a = cls.__new__(cls)
+        object.__setattr__(a, "alphabet", alphabet)
+        object.__setattr__(a, "dim", dim)
+        object.__setattr__(a, "_ints", z)
+        return a
+
+    def __getattr__(self, name: str):  # only for attributes not set
+        z = self.__dict__.get("_ints")
+        if z is None or name not in ("s0", "mats", "f"):
+            raise AttributeError(name)
+        object.__setattr__(self, "s0", _fractions((z.s0, z.d0)))
+        object.__setattr__(self, "f", _fractions((z.f, z.df)))
+        mats = tuple(tuple(_fractions((r, d)) for r in m) for m, d in zip(z.rows, z.dm))
+        object.__setattr__(self, "mats", mats)
+        return getattr(self, name)
 
     @cached_property
     def _ints(self) -> "_IntForm":
@@ -178,6 +217,22 @@ class _IntForm:
 def _fractions(state: IState) -> Vec:
     v, d = state
     return tuple(Fraction(x, d) for x in v)
+
+
+def _int_form(dim: int, s0: Entries, mats: Sequence[dict[int, Entries]], f: Entries) -> _IntForm:
+    """The integer form, as `Wa._ints` makes it, of the machine whose
+    weights are given where they may be nonzero: s0 and f by state, and
+    mats[a][dst][src] for src -> dst on symbol a. The rows of a matrix
+    that hold no weight share one zero row."""
+    lcd = lambda entries: lcm(*(q for _, q in entries))
+    d0, df = lcd(s0.values()), lcd(f.values())
+    zero = (0,) * dim
+    rows, dm = [], []
+    for m in mats:
+        d = lcd(w for row in m.values() for w in row.values())
+        rows.append(tuple(_times(m[t], dim, d) if t in m else zero for t in range(dim)))
+        dm.append(d)
+    return _IntForm(_times(s0, dim, d0), d0, tuple(rows), tuple(dm), _times(f, dim, df), df)
 
 
 @dataclass(frozen=True)

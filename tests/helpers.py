@@ -312,6 +312,32 @@ def plain_numeral(tok: str) -> bool:
     return tok == "-eps-" or re.fullmatch("0|[1-9][0-9]*", tok) is not None
 
 
+def reference_parse_wa(text: str) -> Wa:
+    """A well-formed wa file read into dense `Fraction` matrices through the
+    public constructor: every weight by Fraction(), every omitted entry 0."""
+    dim, entries = None, {}
+    for raw in text.splitlines():
+        toks = raw.split()
+        if not toks or toks[0].startswith("#"):
+            continue
+        if toks[0] == "alphabet":
+            alphabet = Alphabet(tuple(toks[1:]))
+        elif toks[0] == "dim":
+            dim = int(toks[1])
+        elif toks[0] in ("init", "final"):
+            entries[toks[0], int(toks[1])] = Fraction(toks[2])
+        elif toks[0] == "trans":
+            src, a, dst = int(toks[1]), alphabet.index(toks[2]), int(toks[3])
+            entries[a, dst, src] = Fraction(toks[4])
+    qs = range(dim)
+    mats = [
+        [[entries.get((a, dst, src), 0) for src in qs] for dst in qs]
+        for a in range(len(alphabet))
+    ]
+    vec = lambda d: [entries.get((d, q), 0) for q in qs]
+    return Wa(alphabet, dim, vec("init"), mats, vec("final"))
+
+
 def reference_parse_patterns(text: str, filename: str = "<string>") -> N.OrbitSuite:
     """The line-by-line pattern reader: every token of every line read by int().
     Unlike parse_patterns it takes any spelling int() does, such as `01` or `+1`."""

@@ -87,6 +87,19 @@ def test_gen_wa_contains_baab(tmp_path):
     assert [l for l in out.splitlines() if l.startswith("FAIL")] == ["FAIL b a a b 9 13"]
 
 
+def test_run_prints_a_mealy_value_as_its_output_row(tmp_path):
+    mealy, suite = str(FIXTURES / "coffee_mealy.aut"), tmp_path / "suite.txt"
+    assert run_cli("gen", "--k", "0", "-o", str(suite), mealy)[0] == 0
+    code, out = run_cli("run", mealy, mealy, str(suite))
+    assert code == 0
+    assert out.splitlines()[:4] == [
+        "PASS -eps- err,err,ok err,err,ok",
+        "PASS c err,err,err err,err,err",
+        "PASS e err,err,err err,err,err",
+        "PASS 1 cup,err,ok cup,err,ok",
+    ]
+
+
 def test_gen_missing_file():
     code, _ = run_cli("gen", "--k", "0", "-o", "/tmp/x.txt", "no-such-file.aut")
     assert code == 2
@@ -404,6 +417,15 @@ def test_precondition_matrix(tmp_path, capsys, machine, command):
     assert code == EXPECTED_EXIT[machine][SUBCOMMANDS.index(command)]
     if code == 3:
         assert DEFECT_WORDING[machine] in capsys.readouterr().err
+
+
+def test_a_large_sparse_wa_fails_its_cover_on_the_rank(tmp_path, capsys):
+    # six lines for a 3000 x 3000 matrix: read without forming it densely as Fractions
+    spec = tmp_path / "big.wa"
+    spec.write_text("kind wa\nalphabet a\ndim 3000\ninit 0 1\nfinal 0 1\ntrans 0 a 0 1\n")
+    assert run_cli("cover", str(spec)) == (3, "")
+    err = capsys.readouterr().err
+    assert "not spanned from the initial vector (rank 1 < dim 3000)" in err
 
 
 @pytest.mark.parametrize("machine", ["dfa", "wa", "wa-unobservable"])

@@ -1,6 +1,7 @@
 import io
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from helpers import (
     random_wa,
     reference_parse_patterns,
     reference_parse_suite,
+    reference_parse_wa,
 )
 from wmethod import (
     Alphabet,
@@ -81,6 +83,91 @@ def test_round_trip_random_machines():
         assert parse_machine(serialize_machine(wa)) == wa
         rna = random_rna(rng, max_locs=4, max_arity=2)
         assert parse_machine(serialize_machine(rna)) == rna
+
+
+def _assert_read_as_constructed(text: str) -> None:
+    """The parser's integer form and weights of a wa file equal those of
+    the public constructor on the file's Fraction entries."""
+    ref = reference_parse_wa(text)
+    z, r = parse_machine(text)._ints, ref._ints
+    for part in ("s0", "d0", "rows", "dm", "f", "df"):
+        assert getattr(z, part) == getattr(r, part), part
+    m = parse_machine(text)
+    for part in ("s0", "mats", "f"):
+        assert getattr(m, part) == getattr(ref, part), part
+    weights = [*m.s0, *m.f, *(x for mat in m.mats for row in mat for x in row)]
+    assert {type(x) for x in weights} == {Fraction}
+    assert m == ref and hash(m) == hash(ref)
+    out = serialize_machine(m)
+    assert out == serialize_machine(ref)
+    again = parse_machine(out)
+    assert again == m and serialize_machine(again) == out
+
+
+@pytest.mark.parametrize("name", [n for n in GOOD_FIXTURES if n.endswith(".wa")])
+def test_wa_fixtures_read_as_constructed(name):
+    _assert_read_as_constructed((FIXTURES / name).read_text())
+
+
+# weights as a file may write them: unreduced, signed, zero, padded
+WEIGHTS = st.one_of(
+    st.sampled_from(["2/4", "-6/4", "+3", "-0", "0/7", "007/014", "-12/8"]),
+    st.builds(
+        lambda sign, p, q: f"{sign}{p}" + ("" if q is None else f"/{q}"),
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 12),
+        st.none() | st.integers(1, 9),
+    ),
+)
+
+
+@st.composite
+def wa_files(draw):
+    dim = draw(st.integers(1, 4))
+    syms = draw(st.sampled_from([("a",), ("a", "b"), ("x", "y", "z")]))
+    q = st.integers(0, dim - 1)
+    init = draw(st.dictionaries(q, WEIGHTS))
+    final = draw(st.dictionaries(q, WEIGHTS))
+    trans = draw(st.dictionaries(st.tuples(q, st.sampled_from(syms), q), WEIGHTS, max_size=12))
+    lines = [f"dim {dim}"]
+    lines += [f"init {i} {w}" for i, w in init.items()]
+    lines += [f"final {i} {w}" for i, w in final.items()]
+    lines += [f"trans {s} {a} {t} {w}" for (s, a, t), w in trans.items()]
+    lines = draw(st.permutations(lines))
+    return "\n".join(["kind wa", "alphabet " + " ".join(syms), *lines]) + "\n"
+
+
+@given(wa_files())
+@settings(max_examples=200)
+def test_wa_files_read_as_constructed(text):
+    _assert_read_as_constructed(text)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("kind wa\nalphabet a\ndim 1_1\n", 3, "dim: expected an integer, got '1_1'"),
+        (
+            "kind wa\nalphabet a\ndim 1\ninit 0 \u0663/\u0664\n",
+            4,
+            "bad rational '\u0663/\u0664' (use p or p/q, sign on p only)",
+        ),
+        ("kind dfa\nalphabet a\nstates \uff12\n", 3, "states: expected an integer, got '\uff12'"),
+        ("kind dfa\nalphabet a\ntrans 0 a 0_0\n", 3, "trans target: expected an integer, got '0_0'"),
+        ("kind rna\nloc q0 \u0660\n", 2, "arity: expected an integer, got '\u0660'"),
+    ],
+    ids=["underscore", "arabic-indic-weight", "fullwidth", "underscore-target", "arity"],
+)
+def test_machine_numerals_are_ascii_digits(text, line, message):
+    # int() and Fraction() read each of these tokens as a number
+    with pytest.raises(ParseError) as err:
+        parse_machine(text, "m")
+    assert (err.value.line, err.value.message) == (line, message)
+
+
+def test_machine_numerals_keep_their_signs():
+    m = parse_machine("kind dfa\nalphabet a\nstates +1\ninitial -0\ntrans +0 a 0\n")
+    assert (m.n_states, m.initial, m.delta) == (1, 0, ((0,),))
 
 
 @pytest.mark.parametrize("name", BAD_FIXTURES)
