@@ -504,6 +504,14 @@ def _class(tok: str) -> int:
     raise ValueError(f"pattern class {tok!r} is not a plain decimal numeral")
 
 
+class _Classes(dict):
+    """Each token read so far and its class, so `_class` checks a token once."""
+
+    def __missing__(self, tok: str) -> int:
+        self[tok] = c = _class(tok)
+        return c
+
+
 def _pattern(toks: list[str]) -> SymbolicWord:
     """A line's classes as int() reads them, checked to be canonical."""
     try:
@@ -527,6 +535,7 @@ def parse_patterns(text: str, filename: str = "<string>") -> OrbitSuite:
     Classes that are not integers or not canonical are reported before
     one that is not a plain numeral. A canonical file keeps its lines and
     plan. Every tail is checked to extend its anchor's pattern canonically
-    (`_grow`), so the suite is made unchecked."""
+    (`_grow`), so the suite is made unchecked. Each distinct token is
+    checked once, through a `_Classes` of this call."""
     checks = [_pattern, lambda toks: list(map(_class, toks))]
-    return _read_suite(OrbitSuite, None, text, filename, _class, _grow, checks)
+    return _read_suite(OrbitSuite, None, text, filename, _Classes().__getitem__, _grow, checks)

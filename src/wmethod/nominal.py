@@ -197,15 +197,31 @@ State = tuple[int, tuple[Atom, ...]]
 
 
 def _step(a: Rna, loc: int, regs: tuple[Atom, ...], x: Atom) -> State:
-    arity = a.arity(loc)
-    guard = arity  # fresh unless the input matches a register
-    for i, v in enumerate(regs):
-        if v == x:
-            guard = i
-            break
-    target, asg = a.rules[loc][guard]
-    new_regs = tuple(x if s == X_SOURCE else regs[s - 1] for s in asg)
-    return target, new_regs
+    """The state after reading x at (loc, regs). The registers fill all
+    of loc's arity, so the rule is the matching register's, else fresh."""
+    target, asg = a.rules[loc][regs.index(x) if x in regs else len(regs)]
+    return target, tuple([x if s == X_SOURCE else regs[s - 1] for s in asg])
+
+
+class _Row(dict):
+    """A state met in one run of `a`: maps each atom read from it to the
+    successor's row, stepped on first use. `table` holds the run's rows by
+    state, so `_step` runs once per distinct (state, atom) edge."""
+
+    __slots__ = ("a", "state", "table")
+
+    @classmethod
+    def at(cls, a: Rna, state: State, table: dict) -> "_Row":
+        row = table[state] = cls()
+        row.a, row.state, row.table = a, state, table
+        return row
+
+    def __missing__(self, x: Atom) -> "_Row":
+        nxt = _step(self.a, *self.state, x)
+        if nxt not in self.table:
+            _Row.at(self.a, nxt, self.table)
+        self[x] = row = self.table[nxt]
+        return row
 
 
 def _run_from(a: Rna, state: State, atoms: Sequence[Atom]) -> State:
@@ -360,9 +376,11 @@ def agree_on_rna(spec: Rna, impl: Rna, t: OrbitSuite) -> list[Verdict]:
 
 def suite_values_rna(a: Rna, t: OrbitSuite) -> Iterator[bool]:
     """Acceptance of the canonical instance of every pattern, lazily, in
-    suite order (see `symbolic_run`)."""
-    states = execute(t.plan, (a.initial, ()), lambda st, x: _step(a, st[0], st[1], x))
-    return (loc in a.accepting for loc, _ in states)
+    suite order (see `symbolic_run`). The run steps `_Row`s of a table
+    local to this call by dict lookup, so a canonical instance that meets
+    a state and atom already met reuses the successor."""
+    rows = execute(t.plan, _Row.at(a, (a.initial, ()), {}), dict.__getitem__)
+    return (row.state[0] in a.accepting for row in rows)
 
 
 def _pair_bfs(

@@ -1,7 +1,9 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -41,7 +43,15 @@ from wmethod import (
 from wmethod import formats as formats_module
 from wmethod import nominal as nominal_module
 from wmethod import words as words_module
-from wmethod.nominal import _pair_configs, extension_choices, extend
+from wmethod.formats import parse_patterns, serialize_suite
+from wmethod.nominal import (
+    X_SOURCE,
+    _pair_configs,
+    _step,
+    extend,
+    extension_choices,
+    suite_values_rna,
+)
 
 P_ = SymbolicWord
 
@@ -473,3 +483,95 @@ def test_tracer_names_stay_distinct_functions():
     fns = [getattr(module, name) for module, name in names]
     assert all(callable(fn) for fn in fns)
     assert len({id(fn) for fn in fns}) == len(fns)
+
+
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "golden"
+
+
+def _bench_reference():
+    """The benchmark's own register automaton, written apart from wmethod."""
+    path = REPO / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _bench_reference()
+
+
+@st.composite
+def rnas_st(draw):
+    """A register automaton of up to 4 locations, each of arity 0 to 3 (the initial 0)."""
+    arities = [0, *draw(st.lists(st.integers(0, 3), max_size=3))]
+    rules = []
+    for r in arities:
+        group = []
+        for g in range(r + 1):
+            sources = [X_SOURCE, *range(1, r + 1)]
+            if g < r:
+                sources.remove(g + 1)  # the input aliases that register
+            fits = [t for t, n in enumerate(arities) if n <= len(sources)]
+            target = draw(st.sampled_from(fits))
+            group.append((target, tuple(draw(st.permutations(sources))[: arities[target]])))
+        rules.append(tuple(group))
+    accepting = draw(st.frozensets(st.integers(0, len(arities) - 1)))
+    return Rna(tuple((f"l{i}", r) for i, r in enumerate(arities)), 0, accepting, tuple(rules))
+
+
+@st.composite
+def pattern_suites_st(draw):
+    """patterns_upto(k), maybe a random subset of it, maybe read back from
+    its file with the lines in either order, so the plan is the reader's."""
+    t = patterns_upto(draw(st.integers(0, 5)))
+    if draw(st.booleans()):
+        t = OrbitSuite(tuple(p for p in t if draw(st.booleans())))
+    if draw(st.booleans()):
+        lines = serialize_suite(t).splitlines(keepends=True)
+        t = parse_patterns("".join(lines[:: draw(st.sampled_from([1, -1]))]))
+    return t
+
+
+# l1 holds the last atom read while each is fresh, and moves on at a repeat:
+# the patterns meet l1 holding 1, 2, 3, ..., so its registers matter
+KEEPS_LAST = Rna(
+    (("l0", 0), ("l1", 1), ("l2", 0)),
+    0,
+    {2},
+    (((1, (X_SOURCE,)),), ((2, ()), (1, (X_SOURCE,))), ((2, ()),)),
+)
+
+
+@given(rnas_st(), pattern_suites_st())
+@example(KEEPS_LAST, patterns_upto(3))
+@settings(max_examples=150, deadline=None)
+def test_rna_execution_matches_the_benchmark_reference(a, t):
+    ref = reference.Rna(a.locations, a.accepting, a.rules, a.initial)
+    for s in (t, patterns_upto(5)):  # and every run of up to 5 atoms
+        want = [ref.location(p.pattern) in ref.accepting for p in s]
+        assert list(suite_values_rna(a, s)) == want
+    for p in t:
+        state = (ref.initial, ())
+        for x in p.pattern:
+            state = ref.step(*state, x)
+        assert rna_run(a, p.pattern) == state
+    for loc, (_, arity) in enumerate(a.locations):
+        regs = tuple(range(2 * arity, arity, -1))  # distinct atoms, none of them 1
+        for x in (*regs, 1):  # each register's guard, then fresh
+            assert _step(a, loc, regs, x) == ref.step(loc, regs, x)
+
+
+def test_suite_values_step_each_edge_and_read_each_class_once(monkeypatch, same_twice):
+    text = (GOLDEN / "gen-k1.same_twice.rna.suite").read_text()
+    read = []
+    real_class = formats_module._class
+    monkeypatch.setattr(formats_module, "_class", lambda tok: read.append(tok) or real_class(tok))
+    t = parse_patterns(text)
+    assert sorted(read) == sorted(set(text.split()) - {"-eps-"})
+    want = [symbolic_run(same_twice, p)[1] for p in t]
+    steps = []
+    monkeypatch.setattr(nominal_module, "_step", lambda *args: steps.append(args) or _step(*args))
+    assert list(suite_values_rna(same_twice, t)) == want
+    assert sum(len(tail) for _, tail in t.plan) == 127  # one step per planned symbol
+    assert len(steps) == len(set(steps)) == 10  # one per distinct (state, atom) edge
