@@ -32,8 +32,16 @@ PAIRS = [
     ("coffee.aut", "coffee_i2.aut"),
     ("binary_value.wa", "binary_value_faulty.wa"),
     ("same_twice.rna", "same_twice_boundary.rna"),
+    ("coffee_mealy.aut", "coffee_mealy.aut"),
+    ("coffee_moore.aut", "coffee_moore.aut"),
 ]
-FAULTSIM = ["coffee.aut", "binary_value.wa", "same_twice.rna"]
+FAULTSIM = [
+    "coffee.aut",
+    "binary_value.wa",
+    "same_twice.rna",
+    "coffee_mealy.aut",
+    "coffee_moore.aut",
+]
 
 
 def _cases() -> dict[str, tuple[list[str], bool]]:
