@@ -12,7 +12,7 @@ from pathlib import Path
 
 from wmethod import (
     Suite,
-    agree_on_wa,
+    agree_on,
     backward_basis,
     equiv_wa,
     forward_basis,
@@ -54,7 +54,7 @@ print(f"W1(P,W) has {len(suite)} words")
 impl = load("binary_value_faulty.wa")
 print(f"faulty build: dimension {impl.dim}, "
       f"in the order-1 fault domain: {in_fault_domain_wa(impl, p, 1)}")
-fails = [v for v in agree_on_wa(spec, impl, suite) if not v.passed]
+fails = [v for v in agree_on(spec, impl, suite) if not v.passed]
 for v in fails:
     print(f"  FAIL {v.word.render(ab)}: expected {v.spec_out}, got {v.impl_out}")
 res = equiv_wa(spec, impl)
@@ -67,5 +67,5 @@ print("minimized faulty build dimension:", minimize_wa(impl).dim)
 big = load("binary_value_boundary.wa")
 print(f"boundary build: dimension {big.dim}, "
       f"in domain: {in_fault_domain_wa(big, p, 1)}, "
-      f"passes suite: {all(v.passed for v in agree_on_wa(spec, big, suite))}, "
+      f"passes suite: {all(v.passed for v in agree_on(spec, big, suite))}, "
       f"equivalent: {bool(equiv_wa(spec, big))}")

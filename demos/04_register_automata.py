@@ -11,7 +11,7 @@ pattern suffices: a suite is a finite list of patterns like `1 2 1`
 from pathlib import Path
 
 from wmethod import (
-    agree_on_rna,
+    agree_on,
     char_set_rna,
     equiv_rna,
     instantiate,
@@ -63,7 +63,7 @@ rules[1][1] = (2, ())  # a fresh second letter now also accepts
 retarget = Rna(spec.locations, spec.initial, spec.accepting, tuple(map(tuple, rules)))
 
 for name, mut in (("flipped-accepting", flipped), ("retargeted-fresh", retarget)):
-    fails = [v.word.render() for v in agree_on_rna(spec, mut, suite) if not v.passed]
+    fails = [v.word.render() for v in agree_on(spec, mut, suite) if not v.passed]
     res = equiv_rna(spec, mut)
     print(f"{name}: killed by {fails[:3]}{'...' if len(fails) > 3 else ''}; "
           f"oracle counterexample {res.counterexample.render()}")

@@ -23,13 +23,11 @@ from .words import (
 )
 from .fsm import (
     Fsm,
-    agree_on,
     char_set,
     equiv,
     is_char_set,
     is_minimal,
     lambda_star,
-    lang_value,
     minimize,
     run,
     state_cover,
@@ -39,7 +37,6 @@ from .fsm import (
 from .weighted import (
     VecSpaceBasis,
     Wa,
-    agree_on_wa,
     backward_basis,
     equiv_wa,
     forward_basis,
@@ -48,7 +45,6 @@ from .weighted import (
     is_minimal_wa,
     is_state_cover_wa,
     minimize_wa,
-    wa_lang,
 )
 from .nominal import (
     EPS_PATTERN,
@@ -56,7 +52,6 @@ from .nominal import (
     OrbitSuite,
     Rna,
     SymbolicWord,
-    agree_on_rna,
     char_set_rna,
     concat_orbit,
     equiv_rna,
@@ -72,6 +67,7 @@ from .nominal import (
     w_suite_rna,
     weak_cover_map_rna,
 )
+from .family import agree_on, value as lang_value, value as wa_lang  # the value of one word
 from .faultsim import (
     ExperimentReport,
     MutationSpec,

@@ -4,10 +4,15 @@ Each family (FSMs, weighted automata, register automata) offers the
 same operations: the analysis of a specification (its state cover and
 characterization set, whose walks also decide that it is canonical),
 each of the two alone and a check of each, the W suite, suite files,
-execution, the equivalence oracle, minimization, and the rendering of
-words and of output values. `family_of` is the one place that maps a
-machine type to its family; the CLI and the completeness experiments go
-through it instead of branching on types.
+the equivalence oracle, minimization, and the rendering of words and of
+output values. `family_of` is the one place that maps a machine type to
+its family; the CLI and the completeness experiments go through it
+instead of branching on types.
+
+Execution is the paper's automaton: each family gives `automaton(m)`,
+a machine's initial state, step and observation of a state. From it,
+`values`, `agree_values`, `agree_on` and the value of one word are
+derived once for every family.
 
 Operations call the family modules through their module attributes at
 call time, so a function patched into a module is the one that runs.
@@ -15,6 +20,7 @@ call time, so a function patched into a module is the one that runs.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterator
 
 from . import formats as Fm
@@ -22,7 +28,7 @@ from . import fsm as F
 from . import nominal as N
 from . import weighted as W
 from . import words as Wd
-from .words import NotMinimalError, Suite
+from .words import NotMinimalError, Suite, Verdict
 
 
 def _is_weak_cover(cover_map, m, p) -> bool:
@@ -97,11 +103,10 @@ class _FsmFamily(_WordFamily):
     def is_charset(self, m: F.Fsm, w: Suite) -> bool:
         return w.contains_epsilon() and F.is_char_set(m, w)
 
-    def values(self, m: F.Fsm, t: Suite) -> Iterator:
-        return F.suite_values(m, t)
-
-    def agree_values(self, spec: F.Fsm, impl: F.Fsm, t: Suite):
-        return F.agree_values(spec, impl, t)
+    def automaton(self, m: F.Fsm) -> tuple:
+        """A state is a state number; its observation, its output (row, for mealy)."""
+        delta = m.delta
+        return m.initial, lambda q, a: delta[q][a], m.signature
 
     def equiv(self, a: F.Fsm, b: F.Fsm):
         return F.equiv(a, b)
@@ -146,11 +151,10 @@ class _WaFamily(_WordFamily):
     def is_charset(self, m: W.Wa, w: Suite) -> bool:
         return W.is_char_set_wa(m, w)
 
-    def values(self, m: W.Wa, t: Suite) -> Iterator:
-        return W.suite_values_wa(m, t)
-
-    def agree_values(self, spec: W.Wa, impl: W.Wa, t: Suite):
-        return W.agree_values_wa(spec, impl, t)
+    def automaton(self, m: W.Wa) -> tuple:
+        """A state is M(w) s0 in the integer form; its observation, the exact value."""
+        z = m._ints
+        return (z.s0, z.d0), z.step, z.value
 
     def equiv(self, a: W.Wa, b: W.Wa):
         return W.equiv_wa(a, b)
@@ -196,11 +200,11 @@ class _RnaFamily:
     def read_suite(self, text: str, m: N.Rna, filename: str) -> N.OrbitSuite:
         return Fm.parse_patterns(text, filename)
 
-    def values(self, m: N.Rna, t: N.OrbitSuite) -> Iterator:
-        return N.suite_values_rna(m, t)
-
-    def agree_values(self, spec: N.Rna, impl: N.Rna, t: N.OrbitSuite):
-        return self.values(spec, t), self.values(impl, t)  # nothing to check
+    def automaton(self, m: N.Rna) -> tuple:
+        """A state is the row of a (location, registers) pair in a fresh
+        state table (`nominal._Row`); its observation, whether it is accepted."""
+        start = N._Row.at(m, (m.initial, ()), {})
+        return start, dict.__getitem__, attrgetter("accepted")
 
     def equiv(self, a: N.Rna, b: N.Rna):
         return N.equiv_rna(a, b)
@@ -229,3 +233,33 @@ def family_of(m):
     if isinstance(m, N.Rna):
         return RNA
     raise TypeError(f"unsupported machine type {type(m).__name__}")
+
+
+def values(m, t: Suite) -> Iterator:
+    """The value of every item of suite t in m, lazily, in suite order: the
+    observation of the state each reaches, stepped along t's plan."""
+    start, step, observe = family_of(m).automaton(m)
+    return map(observe, Wd.execute(t.plan, start, step))
+
+
+def agree_values(spec, impl, t: Suite) -> tuple[Iterator, Iterator]:
+    """The values of spec and of impl on every suite item, lazily, once checked
+    to fit: one kind, and one alphabet, the suite's too (an rna's is None)."""
+    Wd.check_fit(spec, impl)
+    if t.alphabet != spec.alphabet:
+        raise ValueError("suite alphabet differs from the machines' alphabet")
+    return values(spec, t), values(impl, t)
+
+
+def agree_on(spec, impl, t: Suite) -> list[Verdict]:
+    """One verdict per suite item, in suite order. By equivariance, an rna's
+    verdict on a pattern covers every concrete instance of its orbit."""
+    return list(map(Verdict, t, *agree_values(spec, impl, t)))
+
+
+def value(m, w):
+    """The value of one word in m, its value as a suite of one word. For an
+    rna, w is a pattern, run on its canonical instance. A symbol index
+    outside an fsm's or a wa's alphabet raises ValueError."""
+    syms = w.pattern if m.alphabet is None else m.alphabet.check(w)
+    return next(values(m, Suite._made(m.alphabet, None, planned=((-1, syms),))))

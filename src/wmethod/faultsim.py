@@ -9,7 +9,7 @@ completeness; the experiment fails in that case.
 The specification's values are computed once. A mutant's values are
 computed lazily, so each mutant runs the suite only up to its first
 differing word, the one the report names; a survivor runs every word.
-`run` (the agree_values path) still executes every word.
+`run` (`family.agree_values`, on the same path) still executes every word.
 
 Reports are plain text, ordered by mutant index, and byte-identical for
 identical mutation specs (the PRNG seed is part of the report header).
@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import fsm as F
 from . import nominal as N
 from . import weighted as W
-from .family import family_of
+from .family import family_of, values
 from .nominal import OracleLimitError
 from .words import NotMinimalError, Suite
 
@@ -273,11 +273,11 @@ def completeness_experiment(spec, k: int, ms: MutationSpec) -> ExperimentReport:
     fam = family_of(spec)
     _, p, w = fam.analyze(spec, False)
     suite = fam.suite(p, k, w)
-    expected = list(fam.values(spec, suite))
+    expected = list(values(spec, suite))
     results = []
     for idx, (mut, in_domain) in enumerate(_mutants(fam.name, spec, k, ms, p)):
         # the mutant's values are lazy: it runs only up to its first differing word
-        got = fam.values(mut, suite)
+        got = values(mut, suite)
         word = next((t for t, x, y in zip(suite, expected, got) if x != y), None)
         try:
             oracle = "equiv" if fam.equiv(spec, mut).equivalent else "inequiv"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .words import (
     EPSILON,
@@ -21,10 +21,9 @@ from .words import (
     EquivResult,
     NotMinimalError,
     Suite,
-    Verdict,
     Word,
+    check_fit,
     cover_map,
-    execute,
     reach,
     unseen,
     verify_cover_map,
@@ -84,12 +83,8 @@ class Fsm:
 
 def run(m: Fsm, w: Word) -> int:
     """State reached from the initial state after reading w."""
+    m.alphabet.check(w)
     return _run_from(m, m.initial, w)
-
-
-def lang_value(m: Fsm, w: Word):
-    """Language value of w: output at the reached state (output row for mealy)."""
-    return m.signature(run(m, w))
 
 
 def lambda_star(m: Fsm, w: Word) -> tuple:
@@ -98,17 +93,10 @@ def lambda_star(m: Fsm, w: Word) -> tuple:
         raise ValueError("lambda_star is only defined for mealy machines")
     q = m.initial
     outs = []
-    for a in w.syms:
+    for a in m.alphabet.check(w):
         outs.append(m.output[q][a])
         q = m.delta[q][a]
     return tuple(outs)
-
-
-def _check_compatible(a: Fsm, b: Fsm):
-    if a.kind != b.kind:
-        raise ValueError(f"machine kinds differ: {a.kind} vs {b.kind}")
-    if a.alphabet != b.alphabet:
-        raise ValueError("machine alphabets differ")
 
 
 def _access(m: Fsm) -> dict[int, Word]:
@@ -254,29 +242,10 @@ def weak_cover_map(m: Fsm, p: Suite) -> dict[tuple[Word, int], Word]:
     return cover_map(p, *_cover_args(m))
 
 
-def suite_values(m: Fsm, t: Suite) -> Iterator:
-    """The language value of every suite word, lazily, in suite order."""
-    delta = m.delta
-    return map(m.signature, execute(t.plan, m.initial, lambda q, a: delta[q][a]))
-
-
-def agree_values(spec: Fsm, impl: Fsm, t: Suite) -> tuple[Iterator, Iterator]:
-    """The values of spec and of impl on every suite word, lazily, once checked to fit."""
-    _check_compatible(spec, impl)
-    if t.alphabet != spec.alphabet:
-        raise ValueError("suite alphabet differs from the machines' alphabet")
-    return suite_values(spec, t), suite_values(impl, t)
-
-
-def agree_on(spec: Fsm, impl: Fsm, t: Suite) -> list[Verdict]:
-    """One verdict per suite word, in suite order."""
-    return list(map(Verdict, t, *agree_values(spec, impl, t)))
-
-
 def equiv(a: Fsm, b: Fsm) -> EquivResult:
     """Exact equivalence: a breadth-first walk over pairs of states stops at
     the first pair whose outputs differ; its word is length-lex least."""
-    _check_compatible(a, b)
+    check_fit(a, b)
     da, db = a.delta, b.delta
     found = reach((a.initial, b.initial), lambda p: enumerate(zip(da[p[0]], db[p[1]])), unseen())
     for w, (qa, qb) in found:

@@ -24,10 +24,9 @@ from .words import (
     EquivResult,
     NotMinimalError,
     Suite,
-    Verdict,
+    check_fit,
     check_w_inputs,
     cover_map,
-    execute,
     reach,
     sequences_upto,
     unseen,
@@ -133,6 +132,9 @@ class Rna:
     initial: int
     accepting: frozenset[int]
     rules: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    # not fields: the family's one kind, and no alphabet, as an OrbitSuite
+    kind = "rna"
+    alphabet = None
 
     def __post_init__(self):
         object.__setattr__(self, "locations", tuple((str(n), int(r)) for n, r in self.locations))
@@ -206,14 +208,19 @@ def _step(a: Rna, loc: int, regs: tuple[Atom, ...], x: Atom) -> State:
 class _Row(dict):
     """A state met in one run of `a`: maps each atom read from it to the
     successor's row, stepped on first use. `table` holds the run's rows by
-    state, so `_step` runs once per distinct (state, atom) edge."""
+    state, so `_step` runs once per distinct (state, atom) edge, and
+    `accepted` is whether the state's location is accepting.
 
-    __slots__ = ("a", "state", "table")
+    A suite's execution steps the rows of one fresh table by dict lookup, so
+    an instance that meets a state and atom already met reuses the successor.
+    The table lives as long as the execution; the frozen `Rna` holds none."""
+
+    __slots__ = ("a", "state", "table", "accepted")
 
     @classmethod
     def at(cls, a: Rna, state: State, table: dict) -> "_Row":
         row = table[state] = cls()
-        row.a, row.state, row.table = a, state, table
+        row.a, row.state, row.table, row.accepted = a, state, table, state[0] in a.accepting
         return row
 
     def __missing__(self, x: Atom) -> "_Row":
@@ -368,21 +375,6 @@ def w_suite_rna(p: OrbitSuite, k: int, w: OrbitSuite) -> OrbitSuite:
     return concat_orbit(concat_orbit(p, patterns_upto(k + 1)), w)
 
 
-def agree_on_rna(spec: Rna, impl: Rna, t: OrbitSuite) -> list[Verdict]:
-    """One verdict per orbit pattern; by equivariance each verdict covers
-    every concrete instance of its orbit."""
-    return list(map(Verdict, t, suite_values_rna(spec, t), suite_values_rna(impl, t)))
-
-
-def suite_values_rna(a: Rna, t: OrbitSuite) -> Iterator[bool]:
-    """Acceptance of the canonical instance of every pattern, lazily, in
-    suite order (see `symbolic_run`). The run steps `_Row`s of a table
-    local to this call by dict lookup, so a canonical instance that meets
-    a state and atom already met reuses the successor."""
-    rows = execute(t.plan, _Row.at(a, (a.initial, ()), {}), dict.__getitem__)
-    return (row.state[0] in a.accepting for row in rows)
-
-
 def _pair_bfs(
     a: Rna,
     b: Rna,
@@ -425,6 +417,7 @@ def _pair_bfs(
 
 def equiv_rna(a: Rna, b: Rna, max_configs: int | None = None) -> EquivResult:
     """Exact language equivalence; the counterexample is a shortest pattern."""
+    check_fit(a, b)
     eq, word = _pair_bfs(a, b, (a.initial, ()), (b.initial, ()), max_configs)
     if eq:
         return EquivResult(True, None)

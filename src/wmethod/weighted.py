@@ -25,15 +25,15 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .words import (
     EPSILON,
     Alphabet,
     EquivResult,
     Suite,
-    Verdict,
     Word,
+    check_fit,
     concat_suites,
     execute,
     reach,
@@ -129,6 +129,7 @@ class Wa:
     s0: Vec
     mats: tuple[Mat, ...]
     f: Vec
+    kind = "wa"  # not a field: the one kind of the family
 
     def __post_init__(self):
         if self.dim < 0:
@@ -249,18 +250,6 @@ class VecSpaceBasis:
     @property
     def rank(self) -> int:
         return len(self.vectors)
-
-
-def wa_lang(a: Wa, w: Word) -> Fraction:
-    """f^T M(w) s0, computed exactly."""
-    for s in w.syms:
-        if not 0 <= s < len(a.alphabet):
-            raise ValueError(f"symbol index {s} outside the alphabet")
-    z = a._ints
-    state = (z.s0, z.d0)
-    for s in w.syms:
-        state = z.step(state, s)
-    return z.value(state)
 
 
 def _basis(found: list[tuple[Word, IState]]) -> VecSpaceBasis:
@@ -396,8 +385,7 @@ def equiv_wa(a: Wa, b: Wa) -> EquivResult:
     is enough: the difference of the values is linear in that vector, so
     the least word on which they differ is one that is admitted.
     """
-    if a.alphabet != b.alphabet:
-        raise ValueError("machine alphabets differ")
+    check_fit(a, b)
     za, zb = a._ints, b._ints
     letters = range(len(a.alphabet))
     ech = _Echelon()
@@ -414,26 +402,6 @@ def equiv_wa(a: Wa, b: Wa) -> EquivResult:
         if _idot(za.f, va) * zb.df * db != _idot(zb.f, vb) * za.df * da:
             return EquivResult(False, Word(w))
     return EquivResult(True, None)
-
-
-def suite_values_wa(a: Wa, t: Suite) -> Iterator[Fraction]:
-    """The exact value of every suite word, lazily, in suite order."""
-    z = a._ints
-    return map(z.value, execute(t.plan, (z.s0, z.d0), z.step))
-
-
-def agree_values_wa(spec: Wa, impl: Wa, t: Suite) -> tuple[Iterator, Iterator]:
-    """The exact values of spec and impl on every suite word, lazily, once checked to fit."""
-    if spec.alphabet != impl.alphabet:
-        raise ValueError("machine alphabets differ")
-    if t.alphabet != spec.alphabet:
-        raise ValueError("suite alphabet differs from the machines' alphabet")
-    return suite_values_wa(spec, t), suite_values_wa(impl, t)
-
-
-def agree_on_wa(spec: Wa, impl: Wa, t: Suite) -> list[Verdict]:
-    """One exact-value verdict per suite word."""
-    return list(map(Verdict, t, *agree_values_wa(spec, impl, t)))
 
 
 def in_fault_domain_wa(impl: Wa, p: Suite, k: int) -> bool:

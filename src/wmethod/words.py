@@ -59,6 +59,13 @@ class Alphabet:
         (i,) = self.word(name).syms
         return i
 
+    def check(self, w: Word) -> tuple[int, ...]:
+        """w's symbol indices, once each is checked to be in range."""
+        for s in w.syms:
+            if not 0 <= s < len(self.symbols):
+                raise ValueError(f"symbol index {s} outside the alphabet")
+        return w.syms
+
     def word(self, *names: str) -> Word:
         """Build a word from symbol names, e.g. ``ab.word('1', '1', 'c')``."""
         try:
@@ -417,6 +424,14 @@ class Verdict(NamedTuple):
     @property
     def passed(self) -> bool:
         return self.spec_out == self.impl_out
+
+
+def check_fit(a, b) -> None:
+    """Raise ValueError unless machines a and b have one kind and one alphabet."""
+    if a.kind != b.kind:
+        raise ValueError(f"machine kinds differ: {a.kind} vs {b.kind}")
+    if a.alphabet != b.alphabet:
+        raise ValueError("machine alphabets differ")
 
 
 def sequences_upto(k: int, letters: Callable[[tuple], Iterable]) -> list[tuple]:

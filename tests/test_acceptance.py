@@ -26,8 +26,6 @@ from wmethod import (
     SymbolicWord,
     Word,
     agree_on,
-    agree_on_rna,
-    agree_on_wa,
     backward_basis,
     completeness_experiment,
     equiv,
@@ -125,7 +123,7 @@ def test_wa_example(binary_wa, binary_wa_faulty):
     assert is_minimal_wa(binary_wa)
     p = Suite.from_names(ab, [[], ["b"]])
     assert in_fault_domain_wa(binary_wa_faulty, p, 1)
-    verdicts = agree_on_wa(binary_wa, binary_wa_faulty, w_suite(p, ab, 1, p))
+    verdicts = agree_on(binary_wa, binary_wa_faulty, w_suite(p, ab, 1, p))
     fails = [(v.word.render(ab), v.spec_out, v.impl_out) for v in verdicts if not v.passed]
     assert fails == [("b a a b", 9, 13)]
 
@@ -142,7 +140,7 @@ def test_wa_completeness_100_specs():
         ms = MutationSpec(1, 8, seed=rng.randrange(2**32))
         for mut in gen_mutants_wa(spec, ms, p, k):
             assert in_fault_domain_wa(mut, p, k)
-            if all(v.passed for v in agree_on_wa(spec, mut, suite)):
+            if all(v.passed for v in agree_on(spec, mut, suite)):
                 assert equiv_wa(spec, mut).equivalent
 
 
@@ -173,7 +171,7 @@ def test_nominal_example(same_twice):
         same_twice.locations, same_twice.initial, same_twice.accepting, tuple(map(tuple, rules))
     )
     for mut in (flipped, retarget):
-        assert not all(v.passed for v in agree_on_rna(same_twice, mut, suite))
+        assert not all(v.passed for v in agree_on(same_twice, mut, suite))
 
 
 @criterion("oracle-cross-validation", 120.0)

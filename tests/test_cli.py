@@ -671,6 +671,7 @@ OTHER_WA = "kind wa\nalphabet x\ndim 1\ninit 0 1\nfinal 0 1\ntrans 0 x 0 1\n"
     "spec, impl, bad, error",
     [
         (COFFEE, MEALY, "c zz\n", "machine kinds differ: dfa vs mealy"),
+        (COFFEE, WA, "c zz\n", "machine kinds differ: dfa vs wa"),  # two families
         (WA, None, "a zz\n", "machine alphabets differ"),
         (RNA, str(FIXTURES / "same_twice_boundary.rna"), "1 3\n", None),
     ],

@@ -14,7 +14,6 @@ from helpers import (
 )
 from wmethod import (
     agree_on,
-    agree_on_wa,
     char_set,
     equiv,
     equiv_rna,
@@ -63,7 +62,7 @@ def test_dfa_and_wa_suite_verdicts_agree_on_the_w_suite():
         suite = w_suite(state_cover(spec), ab, 1, char_set(spec))
         impl = random_fsm(rng, max_states=spec.n_states + 1, syms=len(ab))
         fsm_flags = [v.passed for v in agree_on(spec, impl, suite)]
-        wa_flags = [v.passed for v in agree_on_wa(dfa_as_wa(spec), dfa_as_wa(impl), suite)]
+        wa_flags = [v.passed for v in agree_on(dfa_as_wa(spec), dfa_as_wa(impl), suite)]
         assert fsm_flags == wa_flags
 
 

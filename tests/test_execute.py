@@ -1,10 +1,12 @@
 """The prefix-sharing suite executor and the integer weighted-automaton
-kernel, checked against per-word runs and Fraction arithmetic."""
+kernel, checked against per-word runs, Fraction arithmetic and the
+benchmark's independent model of every family."""
 
 import random
 import time
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -19,23 +21,29 @@ from helpers import (
     random_rna,
     random_wa,
 )
+from test_nominal import KEEPS_LAST, pattern_suites_st, reference, rnas_st
 from wmethod import (
     Alphabet,
+    Fsm,
     OrbitSuite,
     Suite,
     SymbolicWord,
+    Wa,
     Word,
     agree_on,
-    agree_on_rna,
-    agree_on_wa,
     backward_basis,
     forward_basis,
+    lambda_star,
     lang_value,
+    patterns_upto,
     prefix_close,
+    run,
     symbolic_run,
     wa_lang,
     words_upto,
 )
+from wmethod.family import family_of, values
+from wmethod.formats import parse_machine, parse_suite, serialize_machine, serialize_suite
 from wmethod.weighted import _Echelon
 from wmethod.words import execute
 
@@ -85,7 +93,7 @@ def test_agree_on_wa_matches_wa_lang(seed, with_eps):
     rng = random.Random(seed)
     spec, impl = random_wa(rng), random_wa(rng)
     t = Suite.of(spec.alphabet, random_words(rng, 2, with_eps))
-    verdicts = agree_on_wa(spec, impl, t)
+    verdicts = agree_on(spec, impl, t)
     assert [v.word for v in verdicts] == list(t)
     for v in verdicts:
         assert v.spec_out == wa_lang(spec, v.word) == fraction_value(spec, v.word)
@@ -100,11 +108,128 @@ def test_agree_on_rna_matches_symbolic_run(seed, with_eps):
     impl = random_rna(rng, max_locs=4, max_arity=2)
     atoms = random_words(rng, 3, with_eps)
     t = OrbitSuite(tuple(SymbolicWord.from_atoms(w) for w in atoms))
-    verdicts = agree_on_rna(spec, impl, t)
+    verdicts = agree_on(spec, impl, t)
     assert [v.word for v in verdicts] == list(t)
     assert [(v.spec_out, v.impl_out) for v in verdicts] == [
         (symbolic_run(spec, s)[1], symbolic_run(impl, s)[1]) for s in t
     ]
+
+
+# ------------------------------------ every family against the benchmark's model
+
+
+@st.composite
+def fsms_st(draw, kind):
+    """A complete machine of 1 to 4 states over {a, b}."""
+    n = draw(st.integers(1, 4))
+    delta = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2), min_size=n, max_size=n))
+    output = {
+        "dfa": st.integers(0, 1),
+        "moore": st.sampled_from("xyz"),
+        "mealy": st.tuples(*[st.sampled_from("xy")] * 2),
+    }[kind]
+    outputs = draw(st.lists(output, min_size=n, max_size=n))
+    return Fsm(kind, AB, n, draw(st.integers(0, n - 1)), delta, outputs)
+
+
+@st.composite
+def was_st(draw):
+    """A weighted automaton of dimension 1 to 3 over {a, b}, its weights
+    halves from -2 to 2."""
+    dim = draw(st.integers(1, 3))
+    halves = st.sampled_from([Fraction(n, 2) for n in range(-4, 5)])
+    vec = st.lists(halves, min_size=dim, max_size=dim)
+    mats = draw(st.lists(st.lists(vec, min_size=dim, max_size=dim), min_size=2, max_size=2))
+    return Wa(AB, dim, draw(vec), mats, draw(vec))
+
+
+@st.composite
+def word_suites_st(draw):
+    """words_upto(k) over {a, b}, maybe a random subset, maybe read back
+    from its file with the lines in either order, so the plan is the reader's."""
+    t = words_upto(AB, draw(st.integers(0, 4)))
+    if draw(st.booleans()):
+        t = Suite(AB, tuple(w for w in t if draw(st.booleans())))
+    if draw(st.booleans()):
+        lines = serialize_suite(t).splitlines(keepends=True)
+        t = parse_suite("".join(lines[:: draw(st.sampled_from([1, -1]))]), AB)
+    return t
+
+
+MACHINES = {
+    "dfa": fsms_st("dfa"),
+    "moore": fsms_st("moore"),
+    "mealy": fsms_st("mealy"),
+    "wa": was_st(),
+    "rna": rnas_st(),
+    "rna-keeps-last": st.just(KEEPS_LAST),
+}
+
+
+def twin(m):
+    """m in bench/reference.py, a model written apart from wmethod."""
+    if isinstance(m, Fsm):
+        return reference.Fsm(m.kind, m.alphabet.symbols, m.delta, m.output, m.initial)
+    if isinstance(m, Wa):
+        return reference.Wa(m.alphabet.symbols, m.s0, m.mats, m.f)
+    return reference.Rna(m.locations, m.accepting, m.rules, m.initial)
+
+
+@pytest.mark.parametrize("kind", MACHINES)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_execution_matches_the_benchmark_reference(kind, data):
+    spec, impl = data.draw(MACHINES[kind]), data.draw(MACHINES[kind])
+    if data.draw(st.booleans()):  # as the parser makes it: a wa in its integer form
+        spec = parse_machine(serialize_machine(spec))
+    words = spec.alphabet is not None
+    t = data.draw(word_suites_st() if words else pattern_suites_st())
+    seq = attrgetter("syms" if words else "pattern")
+    text = family_of(spec).value_text()  # as `run` prints a value, and the model too
+    for m in (spec, impl):
+        ref = twin(m)
+        for s in (t, words_upto(AB, 4) if words else patterns_upto(5)):
+            assert list(map(text, values(m, s))) == [ref.value_str(seq(w)) for w in s]
+        assert [text(lang_value(m, w)) for w in t] == [ref.value_str(seq(w)) for w in t]
+    verdicts = agree_on(spec, impl, t)
+    assert [v.word for v in verdicts] == list(t)
+    assert [(text(v.spec_out), text(v.impl_out)) for v in verdicts] == [
+        (twin(spec).value_str(seq(w)), twin(impl).value_str(seq(w))) for w in t
+    ]
+
+
+WORD_MACHINES = {
+    "dfa": "coffee",
+    "moore": "coffee_moore",
+    "mealy": "coffee_mealy",
+    "wa": "binary_wa",
+}
+
+
+@pytest.mark.parametrize("kind", WORD_MACHINES)
+@pytest.mark.parametrize("index", ["-1", "size"])
+def test_word_runs_reject_a_symbol_outside_the_alphabet(request, kind, index):
+    m = request.getfixturevalue(WORD_MACHINES[kind])
+    s = -1 if index == "-1" else len(m.alphabet)
+    runs = [lang_value, wa_lang]  # one function, the fsm and the wa name
+    if kind != "wa":
+        runs.append(run)
+    if kind == "mealy":
+        runs.append(lambda_star)
+    for word_run in runs:
+        with pytest.raises(ValueError, match=f"^symbol index {s} outside the alphabet$"):
+            word_run(m, Word((0, s)))
+
+
+def test_agree_on_takes_each_family_and_rejects_two(coffee, binary_wa, same_twice):
+    ws = words_upto(binary_wa.alphabet, 2)
+    assert all(v.passed for v in agree_on(binary_wa, binary_wa, ws))
+    with pytest.raises(ValueError, match="^machine kinds differ: dfa vs wa$"):
+        agree_on(coffee, binary_wa, words_upto(coffee.alphabet, 1))
+    with pytest.raises(ValueError, match="^machine kinds differ: wa vs rna$"):
+        agree_on(binary_wa, same_twice, ws)
+    with pytest.raises(ValueError, match="^machine kinds differ: rna vs dfa$"):
+        agree_on(same_twice, coffee, patterns_upto(1))
 
 
 # ------------------------------------------------------ the integer WA kernel
@@ -193,9 +318,9 @@ def test_plan_of_words_without_suite_prefixes_is_not_quadratic():
     assert all(anchor == -1 and tail == w.syms for (anchor, tail), w in zip(plan, t))
 
 
-@pytest.mark.parametrize("agree", [agree_on, agree_on_wa])
-def test_suite_alphabet_must_match_machines(agree, coffee, binary_wa):
-    m = coffee if agree is agree_on else binary_wa
-    bigger = Alphabet(m.alphabet.symbols + ("z",))
+@pytest.mark.parametrize("name", ["coffee", "binary_wa", "same_twice"])
+def test_suite_alphabet_must_match_machines(request, name):
+    m = request.getfixturevalue(name)
+    bigger = Alphabet((*(m.alphabet or ()), "z"))  # an rna runs on atoms: it takes no word suite
     with pytest.raises(ValueError, match="suite alphabet"):
-        agree(m, m, Suite.of(bigger, [Word((len(m.alphabet),))]))
+        agree_on(m, m, Suite.of(bigger, [Word((len(bigger) - 1,))]))

@@ -12,7 +12,7 @@ implementation through.
 from itertools import product
 
 from wmethod import Alphabet, Fsm, char_set, minimize, state_cover
-from wmethod.fsm import suite_values
+from wmethod.family import values
 from wmethod.words import w_suite
 
 AB = Alphabet(("a", "b"))
@@ -43,17 +43,17 @@ def test_w_suites_are_complete_and_the_bound_is_tight():
     for spec in SPECS:
         p, w = state_cover(spec), char_set(spec)
         complete, order0 = w_suite(p, AB, 1, w), w_suite(p, AB, 0, w)
-        expected = list(suite_values(spec, complete))
+        expected = list(values(spec, complete))
         passed = {
-            i for i, impl in enumerate(IMPLS) if list(suite_values(impl, complete)) == expected
+            i for i, impl in enumerate(IMPLS) if list(values(impl, complete)) == expected
         }
         assert passed == classes[spec]
-        expected = list(suite_values(spec, order0))
+        expected = list(values(spec, order0))
         leaks = [
             i
             for i, impl in enumerate(IMPLS)
             if impl.n_states == 3
             and i not in classes[spec]
-            and list(suite_values(impl, order0)) == expected
+            and list(values(impl, order0)) == expected
         ]
         assert leaks, f"order 0 caught every 3-state implementation of {spec}"

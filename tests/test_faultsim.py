@@ -16,8 +16,6 @@ from wmethod import (
     NotMinimalError,
     Suite,
     agree_on,
-    agree_on_rna,
-    agree_on_wa,
     backward_basis,
     char_set,
     char_set_rna,
@@ -36,12 +34,9 @@ from wmethod import (
     w_suite_rna,
     weak_cover_map_rna,
 )
-from wmethod import fsm as fsm_module
-from wmethod import nominal as nominal_module
-from wmethod import weighted as weighted_module
 from wmethod import words as words_module
 from wmethod.cli import main
-from wmethod.family import family_of
+from wmethod.family import agree_values, family_of
 from wmethod.faultsim import _mutants, redirect_transition, set_output
 from wmethod.formats import parse_machine
 
@@ -140,7 +135,7 @@ def _assert_killed_by_is_first_failing_verdict(spec, k, ms):
     report = completeness_experiment(spec, k, ms)
     assert len(report.results) == len(mutants)
     for r, mut in zip(report.results, mutants):
-        failed = [w for w, a, b in zip(suite, *fam.agree_values(spec, mut, suite)) if a != b]
+        failed = [w for w, a, b in zip(suite, *agree_values(spec, mut, suite)) if a != b]
         assert r.killed_by == (fam.render(failed[0], spec) if failed else None)
     return report
 
@@ -194,8 +189,7 @@ def test_killed_mutant_stops_at_its_first_failing_word(monkeypatch, name, k):
 
         return execute
 
-    for module in (fsm_module, weighted_module, nominal_module):
-        monkeypatch.setattr(module, "execute", counting(module.execute))
+    monkeypatch.setattr(words_module, "execute", counting(words_module.execute))
     report = completeness_experiment(spec, k, MutationSpec(k, 30, 17))
     full = _steps(suite.plan, len(suite))
     assert len(runs) == 1 + len(report.results)
@@ -253,7 +247,7 @@ def test_boundary_wa(binary_wa):
     w = Suite(binary_wa.alphabet, backward_basis(binary_wa).witnesses)
     suite = w_suite(p, binary_wa.alphabet, 1, w)
     assert not in_fault_domain_wa(big, p, 1)
-    assert all(v.passed for v in agree_on_wa(binary_wa, big, suite))
+    assert all(v.passed for v in agree_on(binary_wa, big, suite))
     assert not equiv_wa(binary_wa, big).equivalent
 
 
@@ -264,7 +258,7 @@ def test_boundary_rna(same_twice):
     suite = w_suite_rna(p, 0, w)
     with pytest.raises(ValueError):
         weak_cover_map_rna(big, p)  # no weak cover: out of the domain
-    assert all(v.passed for v in agree_on_rna(same_twice, big, suite))
+    assert all(v.passed for v in agree_on(same_twice, big, suite))
     assert not equiv_rna(same_twice, big).equivalent
 
 

@@ -23,7 +23,7 @@ from wmethod import (
     Rna,
     Suite,
     SymbolicWord,
-    agree_on_rna,
+    agree_on,
     char_set_rna,
     concat_orbit,
     equiv_rna,
@@ -43,6 +43,7 @@ from wmethod import (
 from wmethod import formats as formats_module
 from wmethod import nominal as nominal_module
 from wmethod import words as words_module
+from wmethod.family import values
 from wmethod.formats import parse_patterns, serialize_suite
 from wmethod.nominal import (
     X_SOURCE,
@@ -50,7 +51,6 @@ from wmethod.nominal import (
     _step,
     extend,
     extension_choices,
-    suite_values_rna,
 )
 
 P_ = SymbolicWord
@@ -262,12 +262,12 @@ def test_w_suite_rna(spec_p, spec_w):
 
 def test_agree_on_rna(same_twice, spec_p, spec_w):
     suite = w_suite_rna(spec_p, 0, spec_w)
-    assert all(v.passed for v in agree_on_rna(same_twice, same_twice, suite))
+    assert all(v.passed for v in agree_on(same_twice, same_twice, suite))
     flip = flipped_mutant(same_twice)
-    fails = [v.word.pattern for v in agree_on_rna(same_twice, flip, suite) if not v.passed]
+    fails = [v.word.pattern for v in agree_on(same_twice, flip, suite) if not v.passed]
     assert (1, 1) in fails
     retg = retarget_mutant(same_twice)
-    fails = [v.word.pattern for v in agree_on_rna(same_twice, retg, suite) if not v.passed]
+    fails = [v.word.pattern for v in agree_on(same_twice, retg, suite) if not v.passed]
     assert any(f[:2] == (1, 2) for f in fails)
 
 
@@ -328,7 +328,7 @@ def test_theorem_instance_mutants(same_twice, spec_p, spec_delta_p, spec_w):
         except ValueError:
             continue
         assert verify_weak_cover_rna(mut, spec_p, dp)
-        passed = all(v.passed for v in agree_on_rna(same_twice, mut, suite))
+        passed = all(v.passed for v in agree_on(same_twice, mut, suite))
         if passed:
             assert equiv_rna(same_twice, mut).equivalent
         else:
@@ -534,7 +534,8 @@ def pattern_suites_st(draw):
 
 
 # l1 holds the last atom read while each is fresh, and moves on at a repeat:
-# the patterns meet l1 holding 1, 2, 3, ..., so its registers matter
+# the patterns meet l1 holding 1, 2, 3, ..., so its registers matter (the
+# suite values of test_execute.py run on it too)
 KEEPS_LAST = Rna(
     (("l0", 0), ("l1", 1), ("l2", 0)),
     0,
@@ -547,10 +548,9 @@ KEEPS_LAST = Rna(
 @example(KEEPS_LAST, patterns_upto(3))
 @settings(max_examples=150, deadline=None)
 def test_rna_execution_matches_the_benchmark_reference(a, t):
+    # a suite's values, on the family's state table, are checked with every
+    # family's in test_execute.py; these are the runs of single data words
     ref = reference.Rna(a.locations, a.accepting, a.rules, a.initial)
-    for s in (t, patterns_upto(5)):  # and every run of up to 5 atoms
-        want = [ref.location(p.pattern) in ref.accepting for p in s]
-        assert list(suite_values_rna(a, s)) == want
     for p in t:
         state = (ref.initial, ())
         for x in p.pattern:
@@ -572,6 +572,6 @@ def test_suite_values_step_each_edge_and_read_each_class_once(monkeypatch, same_
     want = [symbolic_run(same_twice, p)[1] for p in t]
     steps = []
     monkeypatch.setattr(nominal_module, "_step", lambda *args: steps.append(args) or _step(*args))
-    assert list(suite_values_rna(same_twice, t)) == want
+    assert list(values(same_twice, t)) == want
     assert sum(len(tail) for _, tail in t.plan) == 127  # one step per planned symbol
     assert len(steps) == len(set(steps)) == 10  # one per distinct (state, atom) edge

@@ -22,7 +22,7 @@ from wmethod import (
     Suite,
     Wa,
     Word,
-    agree_on_wa,
+    agree_on,
     backward_basis,
     equiv_wa,
     forward_basis,
@@ -227,12 +227,12 @@ def test_equiv_wa_counterexample(binary_wa, binary_wa_faulty):
 def test_agree_on_wa_unique_failure(binary_wa, binary_wa_faulty):
     p = Suite.from_names(AB, [[], ["b"]])
     suite = w_suite(p, AB, 1, p)
-    verdicts = agree_on_wa(binary_wa, binary_wa_faulty, suite)
+    verdicts = agree_on(binary_wa, binary_wa_faulty, suite)
     fails = [(v.word.render(AB), v.spec_out, v.impl_out) for v in verdicts if not v.passed]
     assert fails == [("b a a b", 9, 13)]
-    assert all(v.passed for v in agree_on_wa(binary_wa, binary_wa, suite))
+    assert all(v.passed for v in agree_on(binary_wa, binary_wa, suite))
     eps_only = Suite.of(AB, [EPSILON])
-    assert all(v.passed for v in agree_on_wa(binary_wa, binary_wa_faulty, eps_only))
+    assert all(v.passed for v in agree_on(binary_wa, binary_wa_faulty, eps_only))
 
 
 def test_in_fault_domain_examples(binary_wa, binary_wa_faulty):
@@ -248,7 +248,7 @@ def test_agreement_extends_to_linear_combinations(binary_wa, binary_wa_faulty):
     rng = random.Random(12)
     p = Suite.from_names(AB, [[], ["b"]])
     suite = w_suite(p, AB, 1, p)
-    passing = [v.word for v in agree_on_wa(binary_wa, binary_wa_faulty, suite) if v.passed]
+    passing = [v.word for v in agree_on(binary_wa, binary_wa_faulty, suite) if v.passed]
     for _ in range(50):
         sample = rng.sample(passing, 4)
         coeffs = [Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in sample]
@@ -330,14 +330,14 @@ def test_fault_domain_theorem_small():
         impl = random_wa(rng, max_dim=3, syms=len(spec.alphabet))
         if not in_fault_domain_wa(impl, p, k):
             continue
-        if all(v.passed for v in agree_on_wa(spec, impl, suite)):
+        if all(v.passed for v in agree_on(spec, impl, suite)):
             exercised += 1
             assert equiv_wa(spec, impl).equivalent
     # random impls rarely pass; guarantee a hit with the spec itself
     spec = random_minimal_wa(rng, max_dim=3)
     p = Suite(spec.alphabet, forward_basis(spec).witnesses)
     w = Suite(spec.alphabet, backward_basis(spec).witnesses)
-    assert all(v.passed for v in agree_on_wa(spec, spec, w_suite(p, spec.alphabet, 0, w)))
+    assert all(v.passed for v in agree_on(spec, spec, w_suite(p, spec.alphabet, 0, w)))
     assert equiv_wa(spec, spec).equivalent
 
 
