@@ -14,13 +14,11 @@ from wmethod import (
     agree_on,
     char_set_rna,
     equiv_rna,
-    instantiate,
+    lang_value,
     parse_machine,
     patterns_upto,
-    rna_accepts,
     rna_run,
     state_cover_rna,
-    symbolic_run,
     verify_weak_cover_rna,
     w_suite_rna,
     weak_cover_map_rna,
@@ -34,13 +32,12 @@ spec = parse_machine((FIXTURES / "same_twice.rna").read_text(), "same_twice.rna"
 print("concrete runs:")
 for word in ((5, 5), (5, 7), (3, 3, 3)):
     loc, regs = rna_run(spec, word)
-    print(f"  {word} -> {spec.loc_name(loc)} accepted={rna_accepts(spec, word)}")
+    print(f"  {word} -> {spec.loc_name(loc)} accepted={loc in spec.accepting}")
 
 print("\nall patterns of length <= 3 and their verdicts:")
 for s in patterns_upto(3):
-    loc, acc = symbolic_run(spec, s)
-    mark = "ACCEPT" if acc else "      "
-    print(f"  {mark} {s.render():8} (canonical instance {instantiate(s)})")
+    mark = "ACCEPT" if lang_value(spec, s) else "      "
+    print(f"  {mark} {s.render():8} (canonical instance {s.pattern})")
 
 # A state cover: one access pattern per reachable location, plus a map
 # sending every one-letter extension back into the cover.

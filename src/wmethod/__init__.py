@@ -55,14 +55,11 @@ from .nominal import (
     char_set_rna,
     concat_orbit,
     equiv_rna,
-    instantiate,
     is_char_set_rna,
     is_minimal_rna,
     patterns_upto,
-    rna_accepts,
     rna_run,
     state_cover_rna,
-    symbolic_run,
     verify_weak_cover_rna,
     w_suite_rna,
     weak_cover_map_rna,
@@ -84,7 +81,5 @@ from .formats import (
     serialize_machine,
     serialize_suite,
 )
-
-RnaEquivResult = EquivResult  # the former register-automaton result type
 
 __version__ = "0.1.0"

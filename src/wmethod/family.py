@@ -105,8 +105,7 @@ class _FsmFamily(_WordFamily):
 
     def automaton(self, m: F.Fsm) -> tuple:
         """A state is a state number; its observation, its output (row, for mealy)."""
-        delta = m.delta
-        return m.initial, lambda q, a: delta[q][a], m.signature
+        return m.initial, F.step(m), m.signature
 
     def equiv(self, a: F.Fsm, b: F.Fsm):
         return F.equiv(a, b)
@@ -261,5 +260,5 @@ def value(m, w):
     """The value of one word in m, its value as a suite of one word. For an
     rna, w is a pattern, run on its canonical instance. A symbol index
     outside an fsm's or a wa's alphabet raises ValueError."""
-    syms = w.pattern if m.alphabet is None else m.alphabet.check(w)
+    syms = w.pattern if m.alphabet is None else m.alphabet.check(w.syms)
     return next(values(m, Suite._made(m.alphabet, None, planned=((-1, syms),))))

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from itertools import accumulate
 from typing import Mapping
 
 from .words import (
@@ -81,22 +82,24 @@ class Fsm:
         return self.output[q]
 
 
+def step(m: Fsm):
+    """m's transition (q, a) -> delta[q][a], a closure over its table."""
+    delta = m.delta
+    return lambda q, a: delta[q][a]
+
+
 def run(m: Fsm, w: Word) -> int:
     """State reached from the initial state after reading w."""
-    m.alphabet.check(w)
-    return _run_from(m, m.initial, w)
+    return reduce(step(m), m.alphabet.check(w.syms), m.initial)
 
 
 def lambda_star(m: Fsm, w: Word) -> tuple:
     """Traditional Mealy output word: one output per consumed symbol."""
     if m.kind != "mealy":
         raise ValueError("lambda_star is only defined for mealy machines")
-    q = m.initial
-    outs = []
-    for a in m.alphabet.check(w):
-        outs.append(m.output[q][a])
-        q = m.delta[q][a]
-    return tuple(outs)
+    syms = m.alphabet.check(w.syms)
+    states = accumulate(syms, step(m), initial=m.initial)
+    return tuple(m.output[q][a] for q, a in zip(states, syms))
 
 
 def _access(m: Fsm) -> dict[int, Word]:
@@ -172,14 +175,9 @@ def is_char_set(m: Fsm, w: Suite) -> bool:
     Equivalent states agree on w, so it does iff w's outputs make as many blocks."""
     if not w.contains_epsilon():
         raise ValueError("a characterization set must contain the empty word")
-    keys = {tuple(m.signature(_run_from(m, q, v)) for v in w) for q in range(m.n_states)}
+    move = step(m)
+    keys = {tuple(m.signature(reduce(move, v.syms, q)) for v in w) for q in range(m.n_states)}
     return len(keys) == len(set(_refine_partition(m, list(range(m.n_states))).values()))
-
-
-def _run_from(m: Fsm, q: int, w: Word) -> int:
-    for a in w.syms:
-        q = m.delta[q][a]
-    return q
 
 
 def char_set(m: Fsm) -> Suite:

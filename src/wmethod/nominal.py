@@ -15,6 +15,7 @@ the empty word). A suite of patterns is a `words.Suite` (`OrbitSuite`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import combinations, count, permutations
 from operator import attrgetter, itemgetter
 from typing import Iterator, Mapping, Sequence
@@ -198,9 +199,10 @@ def check_rule(locations, loc: int, guard: int, target: int, assignment) -> None
 State = tuple[int, tuple[Atom, ...]]
 
 
-def _step(a: Rna, loc: int, regs: tuple[Atom, ...], x: Atom) -> State:
-    """The state after reading x at (loc, regs). The registers fill all
+def _step(a: Rna, state: State, x: Atom) -> State:
+    """The state after reading x at state (loc, regs). The registers fill all
     of loc's arity, so the rule is the matching register's, else fresh."""
+    loc, regs = state
     target, asg = a.rules[loc][regs.index(x) if x in regs else len(regs)]
     return target, tuple([x if s == X_SOURCE else regs[s - 1] for s in asg])
 
@@ -224,40 +226,16 @@ class _Row(dict):
         return row
 
     def __missing__(self, x: Atom) -> "_Row":
-        nxt = _step(self.a, *self.state, x)
+        nxt = _step(self.a, self.state, x)
         if nxt not in self.table:
             _Row.at(self.a, nxt, self.table)
         self[x] = row = self.table[nxt]
         return row
 
 
-def _run_from(a: Rna, state: State, atoms: Sequence[Atom]) -> State:
-    loc, regs = state
-    for x in atoms:
-        loc, regs = _step(a, loc, regs, x)
-    return loc, regs
-
-
 def rna_run(a: Rna, atoms: Sequence[Atom]) -> State:
     """Deterministic run on a concrete data word; returns (location, registers)."""
-    return _run_from(a, (a.initial, ()), atoms)
-
-
-def rna_accepts(a: Rna, atoms: Sequence[Atom]) -> bool:
-    loc, _ = rna_run(a, atoms)
-    return loc in a.accepting
-
-
-def instantiate(s: SymbolicWord) -> tuple[Atom, ...]:
-    """Canonical representative of the orbit: class i becomes atom i."""
-    return s.pattern
-
-
-def symbolic_run(a: Rna, s: SymbolicWord) -> tuple[int, bool]:
-    """Run on the canonical instance; by equivariance the outcome is the
-    same for every instance of the orbit. Returns (location, accepting)."""
-    loc, _ = rna_run(a, instantiate(s))
-    return loc, loc in a.accepting
+    return reduce(partial(_step, a), atoms, (a.initial, ()))
 
 
 def _injective_merges(m: int, n: int) -> Iterator[dict[int, int]]:
@@ -356,7 +334,7 @@ def state_cover_rna(a: Rna) -> OrbitSuite:
     def moves(state: tuple[int, tuple[Atom, ...], Atom]):  # top + 1 is a fresh atom
         loc, regs, top = state
         for x in (*regs, top + 1):
-            yield x, (*_step(a, loc, regs, x), max(top, x))
+            yield x, (*_step(a, (loc, regs), x), max(top, x))
 
     found = reach((a.initial, (), 0), moves, unseen(itemgetter(0)))
     return OrbitSuite(tuple(SymbolicWord.from_atoms(w) for w, _ in found))
@@ -396,7 +374,7 @@ def _pair_bfs(
     def moves(cfg: tuple[State, State, Atom]):
         sa, sb, top = cfg
         for x in dict.fromkeys((*sa[1], *sb[1], top + 1)):
-            yield x, (_step(a, *sa, x), _step(b, *sb, x), max(top, x))
+            yield x, (_step(a, sa, x), _step(b, sb, x), max(top, x))
 
     def key(cfg: tuple[State, State, Atom]):
         (la, ra), (lb, rb), _ = cfg
@@ -455,12 +433,13 @@ def _w_distinguishes(a: Rna, sa: State, sb: State, w: OrbitSuite) -> bool:
     class c <= m is the c-th atom, and each class above m a fresh atom."""
     pool = list(dict.fromkeys((*sa[1], *sb[1])))
     m, top = len(pool), max(pool, default=0)
+    step = partial(_step, a)
     for pat in w:
         atoms = [0, *pool, *range(top + 1, top + 1 + pat.num_classes)]
         for tail in _merged_tails(m, pat):
             word = [atoms[c] for c in tail]
-            la, _ = _run_from(a, sa, word)
-            lb, _ = _run_from(a, sb, word)
+            la, _ = reduce(step, word, sa)
+            lb, _ = reduce(step, word, sb)
             if (la in a.accepting) != (lb in a.accepting):
                 return True
     return False

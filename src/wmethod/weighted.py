@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -314,10 +314,7 @@ def is_char_set_wa(a: Wa, w: Suite) -> bool:
     z = a._ints
     ech = _Echelon()
     for v in w:
-        row = (z.f, z.df)
-        for s in reversed(v.syms):
-            row = z.step_back(row, s)
-        ech.add(row[0])
+        ech.add(reduce(z.step_back, reversed(v.syms), (z.f, z.df))[0])
     return ech.rank == backward_basis(a).rank
 
 

@@ -59,12 +59,13 @@ class Alphabet:
         (i,) = self.word(name).syms
         return i
 
-    def check(self, w: Word) -> tuple[int, ...]:
-        """w's symbol indices, once each is checked to be in range."""
-        for s in w.syms:
-            if not 0 <= s < len(self.symbols):
-                raise ValueError(f"symbol index {s} outside the alphabet")
-        return w.syms
+    def check(self, syms: tuple[int, ...]) -> tuple[int, ...]:
+        """syms, once each symbol index is checked to be in range."""
+        size = len(self.symbols)
+        for s in syms:
+            if not 0 <= s < size:
+                raise ValueError(f"symbol index {s} out of range for alphabet of size {size}")
+        return syms
 
     def word(self, *names: str) -> Word:
         """Build a word from symbol names, e.g. ``ab.word('1', '1', 'c')``."""
@@ -343,10 +344,9 @@ class Suite:
         return self.words
 
     def _check(self, seqs: list[tuple]) -> None:
-        valid = range(len(self.alphabet))
-        if not set().union(*seqs).issubset(valid):
-            bad = next(s for syms in seqs for s in syms if s not in valid)
-            raise ValueError(f"symbol index {bad} out of range for alphabet of size {len(valid)}")
+        if not set().union(*seqs).issubset(range(len(self.alphabet))):
+            for syms in seqs:  # the first bad index in the given order is named
+                self.alphabet.check(syms)
 
     def _render(self, w: Word) -> str:
         return w.render(self.alphabet)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import re
 from collections import deque
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from math import lcm
 from operator import mul
@@ -18,6 +20,7 @@ from wmethod import (
     EquivResult,
     Fsm,
     NotMinimalError,
+    ParseError,
     Rna,
     Suite,
     VecSpaceBasis,
@@ -26,24 +29,44 @@ from wmethod import (
     backward_basis,
     forward_basis,
     is_minimal,
+    is_minimal_rna,
     lang_value,
+    minimize,
+    minimize_wa,
+    parse_machine,
     patterns_upto,
-    run,
-    symbolic_run,
-    wa_lang,
     words_upto,
 )
 from wmethod import fsm as F
 from wmethod import nominal as N
 from wmethod import weighted as W
-from wmethod.fsm import _run_from
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+REPO = Path(__file__).resolve().parent.parent
+FIXTURES = REPO / "fixtures"
+
+
+def _bench_reference():
+    """bench/reference.py, the benchmark's model of every family, written apart from wmethod."""
+    path = REPO / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _bench_reference()
+
+
+def twin(m):
+    """m in bench/reference.py, a model written apart from wmethod."""
+    if isinstance(m, Fsm):
+        return reference.Fsm(m.kind, m.alphabet.symbols, m.delta, m.output, m.initial)
+    if isinstance(m, Wa):
+        return reference.Wa(m.alphabet.symbols, m.s0, m.mats, m.f)
+    return reference.Rna(m.locations, m.accepting, m.rules, m.initial)
 
 
 def load(name: str):
-    from wmethod.formats import parse_machine
-
     path = FIXTURES / name
     return parse_machine(path.read_text(), str(path))
 
@@ -69,8 +92,6 @@ def random_fsm(rng: random.Random, max_states=6, max_syms=3, kind="dfa", syms=No
 
 
 def random_minimal_fsm(rng: random.Random, max_states=6, max_syms=3, kind="dfa") -> Fsm:
-    from wmethod import minimize
-
     while True:
         m = minimize(random_fsm(rng, max_states, max_syms, kind))
         if m.n_states >= 2:
@@ -96,8 +117,6 @@ def random_wa(rng: random.Random, max_dim=4, syms=2, entries=(-2, -1, 0, 0, 1, 2
 
 
 def random_minimal_wa(rng: random.Random, max_dim=4, syms=2) -> Wa:
-    from wmethod import minimize_wa
-
     while True:
         m = minimize_wa(random_wa(rng, max_dim, syms))
         if m.dim >= 1:
@@ -126,8 +145,6 @@ def random_rna(rng: random.Random, max_locs=3, max_arity=1) -> Rna:
 
 
 def random_minimal_rna(rng: random.Random, max_locs=3, max_arity=1) -> Rna:
-    from wmethod import is_minimal_rna
-
     while True:
         m = random_rna(rng, max_locs, max_arity)
         if is_minimal_rna(m):
@@ -187,24 +204,17 @@ def fraction_rank(vectors) -> int:
 
 
 def fraction_state(a: Wa, w) -> tuple[Fraction, ...]:
-    """M(w) s0 by Fraction matrix-vector products."""
-    v = a.s0
-    for s in w.syms:
-        v = tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a.mats[s])
-    return v
+    """M(w) s0 by the model's Fraction matrix-vector products."""
+    return tuple(twin(a).state_vector(w.syms))
 
 
 def fraction_row(a: Wa, w) -> tuple[Fraction, ...]:
-    """f^T M(w) by Fraction vector-matrix products."""
-    r = a.f
-    for s in reversed(w.syms):
-        m = a.mats[s]
-        r = tuple(sum((r[i] * m[i][j] for i in range(a.dim)), Fraction(0)) for j in range(a.dim))
-    return r
+    """f^T M(w) by the model's Fraction vector-matrix products."""
+    return tuple(twin(a).obs_row(w.syms))
 
 
 def fraction_value(a: Wa, w) -> Fraction:
-    return sum((x * y for x, y in zip(a.f, fraction_state(a, w))), Fraction(0))
+    return twin(a).value(w.syms)
 
 
 def _coords(basis, v):
@@ -288,8 +298,6 @@ def reference_minimize_wa(a: Wa) -> Wa:
 
 def reference_parse_suite(text: str, alphabet: Alphabet, filename: str = "<string>") -> Suite:
     """The line-by-line suite reader: every token of every line looked up by name."""
-    from wmethod.formats import ParseError
-
     words, lines = [], []
     for no, raw in enumerate(text.splitlines(), start=1):
         toks = raw.split()
@@ -341,8 +349,6 @@ def reference_parse_wa(text: str) -> Wa:
 def reference_parse_patterns(text: str, filename: str = "<string>") -> N.OrbitSuite:
     """The line-by-line pattern reader: every token of every line read by int().
     Unlike parse_patterns it takes any spelling int() does, such as `01` or `+1`."""
-    from wmethod.formats import ParseError
-
     pats, lines = [], []
     for no, raw in enumerate(text.splitlines(), start=1):
         toks = raw.split()
@@ -363,8 +369,8 @@ def reference_parse_patterns(text: str, filename: str = "<string>") -> N.OrbitSu
     return N.OrbitSuite(tuple(pats), tuple(lines))
 
 
-def brute_force_equiv(a: Fsm, b: Fsm, max_len: int) -> EquivResult:
-    """Compare language values on every word of length <= max_len."""
+def brute_force_equiv(a, b, max_len: int) -> EquivResult:
+    """Compare the values of two machines of one kind on every word of length <= max_len."""
     if a.kind != b.kind or a.alphabet != b.alphabet:
         raise ValueError("machines are not comparable")
     for w in words_upto(a.alphabet, max_len):
@@ -373,20 +379,14 @@ def brute_force_equiv(a: Fsm, b: Fsm, max_len: int) -> EquivResult:
     return EquivResult(True, None)
 
 
-def brute_force_equiv_wa(a: Wa, b: Wa, max_len: int) -> EquivResult:
-    """Compare values on every word of length <= max_len."""
-    if a.alphabet != b.alphabet:
-        raise ValueError("machine alphabets differ")
-    for w in words_upto(a.alphabet, max_len):
-        if wa_lang(a, w) != wa_lang(b, w):
-            return EquivResult(False, w)
-    return EquivResult(True, None)
+brute_force_equiv_wa = brute_force_equiv  # lang_value and wa_lang are one function
 
 
 def brute_force_equiv_rna(a: Rna, b: Rna, max_len: int) -> EquivResult:
-    """Compare acceptance on every orbit pattern of length <= max_len."""
+    """Compare the model's acceptance on every orbit pattern of length <= max_len."""
+    ra, rb = twin(a), twin(b)
     for s in patterns_upto(max_len):
-        if symbolic_run(a, s)[1] != symbolic_run(b, s)[1]:
+        if ra.value_str(s.pattern) != rb.value_str(s.pattern):
             return EquivResult(False, s)
     return EquivResult(True, None)
 
@@ -401,9 +401,10 @@ def reference_char_set(m: Fsm) -> Suite:
         )
     states = list(range(m.n_states))
     chosen: list[Word] = [EPSILON]
+    ref = twin(m)
 
     def partition(words: list[Word]) -> dict[int, tuple]:
-        return {q: tuple(m.signature(_run_from(m, q, v)) for v in words) for q in states}
+        return {q: tuple(m.signature(ref.state(v.syms, q)) for v in words) for q in states}
 
     part = partition(chosen)
     while len(set(part.values())) < m.n_states:
@@ -418,7 +419,7 @@ def reference_char_set(m: Fsm) -> Suite:
             split = False
             groups: dict[tuple, object] = {}
             for q in states:
-                sig = m.signature(_run_from(m, q, cand))
+                sig = m.signature(ref.state(cand.syms, q))
                 prev = groups.setdefault(part[q], sig)
                 if prev != sig:
                     split = True
@@ -556,6 +557,7 @@ def reference_equiv_wa(a: Wa, b: Wa) -> EquivResult:
 
 def reference_state_cover_rna(a: Rna) -> N.OrbitSuite:
     """Access patterns of every reachable location, in BFS order."""
+    ref = twin(a)
     seen = {a.initial}
     access: list[tuple[int, ...]] = [()]
     queue = deque([(a.initial, (), ())])
@@ -563,7 +565,7 @@ def reference_state_cover_rna(a: Rna) -> N.OrbitSuite:
         loc, regs, word = queue.popleft()
         fresh = max(word, default=0) + 1
         for x in (*regs, fresh):
-            nloc, nregs = N._step(a, loc, regs, x)
+            nloc, nregs = ref.step(loc, regs, x)
             if nloc not in seen:
                 seen.add(nloc)
                 access.append(word + (x,))
@@ -581,6 +583,7 @@ def reference_pair_bfs(a: Rna, b: Rna, start_a, start_b):
         match = frozenset((i, j) for i, x in enumerate(ra) for j, y in enumerate(rb) if x == y)
         return la, lb, match
 
+    ref_a, ref_b = twin(a), twin(b)
     start_atoms = set(start_a[1]) | set(start_b[1])
     queue = deque([(start_a, start_b, ())])
     visited = {cfg_key(start_a, start_b)}
@@ -589,13 +592,9 @@ def reference_pair_bfs(a: Rna, b: Rna, start_a, start_b):
         if (sa[0] in a.accepting) != (sb[0] in b.accepting):
             return False, word
         fresh = max(start_atoms | set(word), default=0) + 1
-        letters = []
-        for x in (*sa[1], *sb[1], fresh):
-            if x not in letters:
-                letters.append(x)
-        for x in letters:
-            na = N._step(a, *sa, x)
-            nb = N._step(b, *sb, x)
+        for x in dict.fromkeys((*sa[1], *sb[1], fresh)):
+            na = ref_a.step(*sa, x)
+            nb = ref_b.step(*sb, x)
             key = cfg_key(na, nb)
             if key not in visited:
                 visited.add(key)
@@ -632,6 +631,7 @@ def reference_verify_weak_cover(m: Fsm, p: Suite, delta_p) -> bool:
     """Check the weak state cover square: delta_p(w, a) reaches the state of w.a."""
     if not p.contains_epsilon():
         raise ValueError("a weak state cover must contain the empty word")
+    ref = twin(m)
     for w in p:
         for a in range(len(m.alphabet)):
             try:
@@ -642,10 +642,8 @@ def reference_verify_weak_cover(m: Fsm, p: Suite, delta_p) -> bool:
                     f"{m.alphabet.symbols[a]})"
                 ) from None
             if v not in p:
-                raise ValueError(
-                    f"delta_p value {v.render(m.alphabet)} is outside the cover"
-                )
-            if run(m, v) != run(m, w + Word((a,))):
+                raise ValueError(f"delta_p value {v.render(m.alphabet)} is outside the cover")
+            if ref.state(v.syms) != ref.state(w.syms + (a,)):
                 return False
     return True
 
@@ -656,13 +654,14 @@ def reference_weak_cover_map(m: Fsm, p: Suite) -> dict:
     Picks for every (w, a) the first word of p reaching the same state as
     w.a; raises if some extension leaves the states covered by p.
     """
+    ref = twin(m)
     reached = {}
     for w in p:
-        reached.setdefault(run(m, w), w)
+        reached.setdefault(ref.state(w.syms), w)
     table = {}
     for w in p:
         for a in range(len(m.alphabet)):
-            q = run(m, w + Word((a,)))
+            q = ref.state(w.syms + (a,))
             if q not in reached:
                 raise ValueError(f"state {q} reached by an extension of the cover is not covered")
             table[(w, a)] = reached[q]
@@ -674,9 +673,10 @@ def reference_is_char_set(m: Fsm, w: Suite) -> bool:
     if not w.contains_epsilon():
         raise ValueError("a characterization set must contain the empty word")
     full = F._refine_partition(m, list(range(m.n_states)))
+    ref = twin(m)
     by_w = {}
     for q in range(m.n_states):
-        key = tuple(m.signature(_run_from(m, q, v)) for v in w)
+        key = tuple(m.signature(ref.state(v.syms, q)) for v in w)
         by_w.setdefault(key, set()).add(q)
     # w-equivalence must imply full equivalence
     for group in by_w.values():
@@ -696,6 +696,7 @@ def reference_verify_weak_cover_rna(a: Rna, p: N.OrbitSuite, delta_p) -> bool:
     """
     if not p.contains_epsilon():
         raise ValueError("a weak state cover must contain the empty pattern")
+    ref = twin(a)
     for w in p:
         for c in N.extension_choices(w):
             try:
@@ -707,22 +708,21 @@ def reference_verify_weak_cover_rna(a: Rna, p: N.OrbitSuite, delta_p) -> bool:
                 ) from None
             if t not in p:
                 raise ValueError(f"delta_p value {t.render()} is outside the cover")
-            ext = N.extend(w, c)
-            if N.rna_run(a, N.instantiate(ext))[0] != N.rna_run(a, N.instantiate(t))[0]:
+            if ref.location(N.extend(w, c).pattern) != ref.location(t.pattern):
                 return False
     return True
 
 
 def reference_weak_cover_map_rna(a: Rna, p: N.OrbitSuite) -> dict:
     """A delta_p witnessing that p is a weak state cover, if one exists."""
+    ref = twin(a)
     reached: dict = {}
     for t in p:
-        loc, _ = N.rna_run(a, N.instantiate(t))
-        reached.setdefault(loc, t)
+        reached.setdefault(ref.location(t.pattern), t)
     table = {}
     for w in p:
         for c in N.extension_choices(w):
-            loc, _ = N.rna_run(a, N.instantiate(N.extend(w, c)))
+            loc = ref.location(N.extend(w, c).pattern)
             if loc not in reached:
                 raise ValueError(
                     f"location {a.loc_name(loc)} reached by an extension of the cover "
@@ -758,14 +758,13 @@ def _reference_instantiations(pat, pool):
 
 
 def _reference_w_distinguishes(a: Rna, sa, sb, w: N.OrbitSuite) -> bool:
-    pool = []
-    for x in (*sa[1], *sb[1]):
-        if x not in pool:
-            pool.append(x)
+    pool = list(dict.fromkeys((*sa[1], *sb[1])))
+    ref = twin(a)
+    step = lambda state, x: ref.step(*state, x)
     for pat in w:
         for word in _reference_instantiations(pat, pool):
-            la, _ = N._run_from(a, sa, word)
-            lb, _ = N._run_from(a, sb, word)
+            la, _ = reduce(step, word, sa)
+            lb, _ = reduce(step, word, sb)
             if (la in a.accepting) != (lb in a.accepting):
                 return True
     return False

@@ -39,7 +39,6 @@ from wmethod import (
     lang_value,
     patterns_upto,
     state_cover,
-    symbolic_run,
     verify_weak_cover_rna,
     w_suite,
     w_suite_rna,
@@ -146,7 +145,7 @@ def test_wa_completeness_100_specs():
 
 @criterion("nominal-example", 2.0)
 def test_nominal_example(same_twice):
-    accepted = [s.pattern for s in patterns_upto(3) if symbolic_run(same_twice, s)[1]]
+    accepted = [s.pattern for s in patterns_upto(3) if lang_value(same_twice, s)]
     assert accepted == [(1, 1)]
     p = OrbitSuite((P_(()), P_((1,)), P_((1, 1)), P_((1, 1, 2))))
     dp = {
@@ -200,7 +199,7 @@ def test_oracle_cross_validation():
         brute = brute_force_equiv_rna(a, b, 2 * max(len(a.locations), len(b.locations)))
         assert res.equivalent == brute.equivalent
         if not res.equivalent:
-            assert symbolic_run(a, res.counterexample)[1] != symbolic_run(b, res.counterexample)[1]
+            assert lang_value(a, res.counterexample) != lang_value(b, res.counterexample)
 
 
 @criterion("factorization-dedup", 10.0)

@@ -20,8 +20,9 @@ from helpers import (
     random_fsm,
     random_rna,
     random_wa,
+    twin,
 )
-from test_nominal import KEEPS_LAST, pattern_suites_st, reference, rnas_st
+from test_nominal import KEEPS_LAST, pattern_suites_st, rnas_st
 from wmethod import (
     Alphabet,
     Fsm,
@@ -38,7 +39,6 @@ from wmethod import (
     patterns_upto,
     prefix_close,
     run,
-    symbolic_run,
     wa_lang,
     words_upto,
 )
@@ -111,7 +111,7 @@ def test_agree_on_rna_matches_symbolic_run(seed, with_eps):
     verdicts = agree_on(spec, impl, t)
     assert [v.word for v in verdicts] == list(t)
     assert [(v.spec_out, v.impl_out) for v in verdicts] == [
-        (symbolic_run(spec, s)[1], symbolic_run(impl, s)[1]) for s in t
+        (lang_value(spec, s), lang_value(impl, s)) for s in t
     ]
 
 
@@ -166,15 +166,6 @@ MACHINES = {
 }
 
 
-def twin(m):
-    """m in bench/reference.py, a model written apart from wmethod."""
-    if isinstance(m, Fsm):
-        return reference.Fsm(m.kind, m.alphabet.symbols, m.delta, m.output, m.initial)
-    if isinstance(m, Wa):
-        return reference.Wa(m.alphabet.symbols, m.s0, m.mats, m.f)
-    return reference.Rna(m.locations, m.accepting, m.rules, m.initial)
-
-
 @pytest.mark.parametrize("kind", MACHINES)
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
@@ -211,13 +202,15 @@ WORD_MACHINES = {
 def test_word_runs_reject_a_symbol_outside_the_alphabet(request, kind, index):
     m = request.getfixturevalue(WORD_MACHINES[kind])
     s = -1 if index == "-1" else len(m.alphabet)
-    runs = [lang_value, wa_lang]  # one function, the fsm and the wa name
+    # lang_value and wa_lang are one function; Suite.of checks the word as a suite
+    runs = [lang_value, wa_lang, lambda m, w: Suite.of(m.alphabet, [w])]
     if kind != "wa":
         runs.append(run)
     if kind == "mealy":
         runs.append(lambda_star)
+    message = f"^symbol index {s} out of range for alphabet of size {len(m.alphabet)}$"
     for word_run in runs:
-        with pytest.raises(ValueError, match=f"^symbol index {s} outside the alphabet$"):
+        with pytest.raises(ValueError, match=message):
             word_run(m, Word((0, s)))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_equiv, random_fsm, random_minimal_fsm, reference_char_set
+from helpers import brute_force_equiv, random_fsm, random_minimal_fsm, reference_char_set, twin
 from wmethod import (
     EPSILON,
     Alphabet,
@@ -31,13 +31,13 @@ from wmethod import (
     weak_cover_map,
     words_upto,
 )
-from wmethod.fsm import _run_from
 
 
 def brute_distinguishable(m, p, q, max_len):
     """Oracle: is there a word of length <= max_len separating p and q?"""
+    ref = twin(m)
     for w in words_upto(m.alphabet, max_len):
-        if m.signature(_run_from(m, p, w)) != m.signature(_run_from(m, q, w)):
+        if m.signature(ref.state(w.syms, p)) != m.signature(ref.state(w.syms, q)):
             return True
     return False
 
@@ -164,10 +164,11 @@ def test_is_char_set_agrees_with_brute_force_oracle():
         # brute force: every pair separable at all (length <= n) must be
         # separated by some word in w
         oracle = True
+        ref = twin(m)
         for p, q in itertools.combinations(range(m.n_states), 2):
             if brute_distinguishable(m, p, q, m.n_states):
                 if not any(
-                    m.signature(_run_from(m, p, v)) != m.signature(_run_from(m, q, v))
+                    m.signature(ref.state(v.syms, p)) != m.signature(ref.state(v.syms, q))
                     for v in w
                 ):
                     oracle = False

@@ -1,17 +1,17 @@
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    REPO,
     brute_force_equiv_rna,
     load,
     random_rna,
     reference_concat_orbit,
     reference_pair_configs,
+    twin,
 )
 from wmethod import (
     EPSILON,
@@ -27,14 +27,12 @@ from wmethod import (
     char_set_rna,
     concat_orbit,
     equiv_rna,
-    instantiate,
     is_char_set_rna,
     is_minimal_rna,
+    lang_value,
     patterns_upto,
-    rna_accepts,
     rna_run,
     state_cover_rna,
-    symbolic_run,
     verify_weak_cover_rna,
     w_suite,
     w_suite_rna,
@@ -101,13 +99,13 @@ def test_rna_run_examples(same_twice):
 
 
 def test_symbolic_run_examples(same_twice):
-    assert symbolic_run(same_twice, P_((1, 1)))[1]
-    assert not symbolic_run(same_twice, P_((1, 2)))[1]
-    assert not symbolic_run(same_twice, P_((1, 1, 2)))[1]
+    assert lang_value(same_twice, P_((1, 1)))
+    assert not lang_value(same_twice, P_((1, 2)))
+    assert not lang_value(same_twice, P_((1, 1, 2)))
 
 
 def test_symbolic_run_matches_all_short_patterns(same_twice):
-    accepted = [s.pattern for s in patterns_upto(3) if symbolic_run(same_twice, s)[1]]
+    accepted = [s.pattern for s in patterns_upto(3) if lang_value(same_twice, s)]
     assert accepted == [(1, 1)]
 
 
@@ -116,17 +114,11 @@ def test_orbit_soundness_random_instantiation(same_twice):
     # canonical instance gives the same verdict
     rng = random.Random(3)
     for s in patterns_upto(4):
-        want = symbolic_run(same_twice, s)[1]
+        want = lang_value(same_twice, s)
         for _ in range(5):
             atoms = rng.sample(range(100), s.num_classes)
             word = tuple(atoms[c - 1] for c in s.pattern)
-            assert rna_accepts(same_twice, word) == want
-
-
-def test_instantiate():
-    assert instantiate(P_((1, 1))) == (1, 1)
-    assert instantiate(P_((1, 2, 1))) == (1, 2, 1)
-    assert instantiate(EPS_PATTERN) == ()
+            assert (rna_run(same_twice, word)[0] in same_twice.accepting) == want
 
 
 def test_pattern_canonicalization():
@@ -363,7 +355,7 @@ def test_equiv_agrees_with_brute_force_random():
         brute = brute_force_equiv_rna(a, b, bound)
         assert res.equivalent == brute.equivalent
         if not res.equivalent:
-            assert symbolic_run(a, res.counterexample)[1] != symbolic_run(b, res.counterexample)[1]
+            assert lang_value(a, res.counterexample) != lang_value(b, res.counterexample)
             assert len(res.counterexample) <= len(brute.counterexample)
 
 
@@ -413,9 +405,8 @@ def test_minimality_same_location_register_junk():
 
 
 def test_equiv_result_is_shared(same_twice):
-    from wmethod import EquivResult, RnaEquivResult
+    from wmethod import EquivResult
 
-    assert RnaEquivResult is EquivResult
     assert equiv_rna(same_twice, same_twice) == EquivResult(True, None)
 
 
@@ -485,20 +476,7 @@ def test_tracer_names_stay_distinct_functions():
     assert len({id(fn) for fn in fns}) == len(fns)
 
 
-REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
-
-
-def _bench_reference():
-    """The benchmark's own register automaton, written apart from wmethod."""
-    path = REPO / "bench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("bench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-reference = _bench_reference()
 
 
 @st.composite
@@ -550,7 +528,7 @@ KEEPS_LAST = Rna(
 def test_rna_execution_matches_the_benchmark_reference(a, t):
     # a suite's values, on the family's state table, are checked with every
     # family's in test_execute.py; these are the runs of single data words
-    ref = reference.Rna(a.locations, a.accepting, a.rules, a.initial)
+    ref = twin(a)
     for p in t:
         state = (ref.initial, ())
         for x in p.pattern:
@@ -559,7 +537,7 @@ def test_rna_execution_matches_the_benchmark_reference(a, t):
     for loc, (_, arity) in enumerate(a.locations):
         regs = tuple(range(2 * arity, arity, -1))  # distinct atoms, none of them 1
         for x in (*regs, 1):  # each register's guard, then fresh
-            assert _step(a, loc, regs, x) == ref.step(loc, regs, x)
+            assert _step(a, (loc, regs), x) == ref.step(loc, regs, x)
 
 
 def test_suite_values_step_each_edge_and_read_each_class_once(monkeypatch, same_twice):
@@ -569,7 +547,7 @@ def test_suite_values_step_each_edge_and_read_each_class_once(monkeypatch, same_
     monkeypatch.setattr(formats_module, "_class", lambda tok: read.append(tok) or real_class(tok))
     t = parse_patterns(text)
     assert sorted(read) == sorted(set(text.split()) - {"-eps-"})
-    want = [symbolic_run(same_twice, p)[1] for p in t]
+    want = [lang_value(same_twice, p) for p in t]
     steps = []
     monkeypatch.setattr(nominal_module, "_step", lambda *args: steps.append(args) or _step(*args))
     assert list(values(same_twice, t)) == want
